@@ -9,12 +9,13 @@
  *
  *   simMs            simulated milliseconds covered by the run
  *   wallMs           host wall-clock for System::run
- *   events           kernel events executed across every lane
+ *   events           events executed by the event queue
  *   events/quantum   executed events per simulated scheduling quantum
  *   Mticks/s         simulated ticks per wall second, in millions
  *
- * Tables are archived through the standard --json flag (use
- * `--json BENCH_PERF.json`).  At the default parameters a second
+ * Tables are archived through the standard --json flag (e.g.
+ * `--json perf.json`; tools/perf_baseline.json is such an archive).
+ * At the default parameters a second
  * table compares against the seed-controller reference measured
  * before the wake-precise optimization (PR 3), tracking the event
  * and wall-clock trajectory.
@@ -24,25 +25,18 @@
  *   perf_smoke --check BASELINE.json [--wall-tol PCT] [--events-only]
  *
  * re-runs the set and compares against a previously archived
- * BENCH_PERF.json: events and events/quantum must match exactly
- * (the simulation is deterministic, sharded or not), wall-clock may
- * regress by at most PCT percent and Mticks/s may drop by the same
- * factor (default 20; faster is never a failure; --events-only
- * skips both host-speed checks for heterogeneous machines).  Exits
- * non-zero on any regression.
- *
- * The header line and each row report the host core count and the
- * threads a config needs (kernel workers + main).  Host-speed
- * checks of a threaded row are SKIPPED (visibly) when hostCores <
- * threads needed: timing an oversubscribed run measures the host,
- * not the simulator.  Event checks always run.
+ * table: events and events/quantum must match exactly (the
+ * simulation is deterministic), wall-clock may regress by at most
+ * PCT percent and Mticks/s may drop by the same factor (default 20;
+ * faster is never a failure; --events-only skips both host-speed
+ * checks for heterogeneous machines).  Exits non-zero on any
+ * regression.
  */
 
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 
@@ -58,56 +52,28 @@ struct SmokeConfig
     const char *name;
     Policy policy;
     int channels = 1;
-    int shards = 0;     ///< 0 = legacy kernel, >0 = sharded kernel
-    int coreLanes = 0;  ///< core-cluster lanes (0 = cores on main)
     int cores = 2;
     /** Open-loop serving spec (ServingConfig::parse), or null. */
     const char *serving = nullptr;
     /** Run with epoch-sampled telemetry enabled. */
     bool telemetry = false;
-
-    /** Worker threads the threaded kernel wants, plus the main
-     *  thread.  1 for the single-threaded rows. */
-    int
-    threadsNeeded() const
-    {
-        return shards + coreLanes > 0 ? shards + coreLanes + 1 : 1;
-    }
 };
 
 /** The fixed config set; order is part of the archive format.  The
  *  2-channel co-design cell exercises the multi-controller scan
- *  paths; the -sh2 cell runs the same machine on the sharded kernel
- *  with one worker per channel; the -cl rows add core-cluster lanes
- *  (the -sh4-cl8 row is the 8-core 4-channel co-design target of
- *  the core-lane work).  Host-speed checks for threaded rows are
- *  skipped on hosts with fewer cores than the row needs. */
+ *  paths. */
 constexpr SmokeConfig kConfigs[] = {
     {"allbank-32gb", Policy::AllBank, 1},
     {"perbank-32gb", Policy::PerBank, 1},
     {"codesign-32gb", Policy::CoDesign, 1},
     {"codesign-32gb-2ch", Policy::CoDesign, 2},
-    {"codesign-32gb-2ch-sh2", Policy::CoDesign, 2, 2},
-    {"codesign-32gb-2ch-cl2", Policy::CoDesign, 2, 0, 2},
-    {"codesign-32gb-2ch-sh2-cl2", Policy::CoDesign, 2, 2, 2},
-    {"codesign-32gb-8c-4ch-sh4-cl8", Policy::CoDesign, 4, 4, 8, 8},
-    // Serving rows ride at the END so the legacy baseline prefix
-    // stays byte-identical; the injector runs on the main lane and
-    // adds no worker thread (threadsNeeded is unchanged).
-    {"codesign-32gb-2ch-serving", Policy::CoDesign, 2, 0, 0, 2,
+    {"codesign-32gb-2ch-serving", Policy::CoDesign, 2, 2,
      "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
-    {"codesign-32gb-2ch-sh2-cl2-serving", Policy::CoDesign, 2, 2, 2,
-     2, "arrival=mmpp,load=0.4,pool=8,queue=32,lines=4"},
-    // Telemetry rows, also at the END.  The sharded row must execute
-    // exactly the events of its telemetry-off twin above (sampling
-    // is a boundary hook, not an event); the legacy row adds one
-    // periodic sampling event per period.  Earlier rows running with
-    // telemetry disabled and events unchanged is the perf gate's
-    // zero-cost-when-off evidence.
-    {"codesign-32gb-2ch-sh2-cl2-telem", Policy::CoDesign, 2, 2, 2, 2,
-     nullptr, true},
-    {"codesign-32gb-telem", Policy::CoDesign, 1, 0, 0, 2, nullptr,
-     true},
+    // The telemetry row adds one periodic sampling event per period
+    // over its telemetry-off twin (codesign-32gb).  Every other row
+    // running with telemetry disabled and events unchanged is the
+    // perf gate's zero-cost-when-off evidence.
+    {"codesign-32gb-telem", Policy::CoDesign, 1, 2, nullptr, true},
 };
 
 /**
@@ -137,15 +103,7 @@ struct SmokeResult
     std::uint64_t events = 0;
     double eventsPerQuantum = 0.0;
     double mticksPerSec = 0.0;
-    int threadsNeeded = 1;
 };
-
-int
-hostCores()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n > 0 ? static_cast<int>(n) : 1;
-}
 
 SmokeResult
 runConfig(const SmokeConfig &sc, const BenchOptions &opts)
@@ -154,8 +112,6 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
         "WL-1", sc.policy, dram::DensityGb::d32, milliseconds(64.0),
         sc.cores, /*tasksPerCore=*/4, opts.timeScale);
     cfg.channels = sc.channels;
-    cfg.shards = sc.shards;
-    cfg.coreLanes = sc.coreLanes;
     if (sc.serving)
         cfg.serving = workload::ServingConfig::parse(sc.serving);
     cfg.telemetry.enabled = sc.telemetry;
@@ -180,13 +136,12 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
         ? static_cast<double>(sys.eventQueue().now())
             / (r.wallMs * 1e3)  // ticks/ms -> Mticks/s
         : 0.0;
-    r.threadsNeeded = sc.threadsNeeded();
     return r;
 }
 
 // ---------------------------------------------------------------
-// Baseline comparison (--check): parse the BENCH_PERF.json archive
-// written by a previous run and diff events / wall-clock.
+// Baseline comparison (--check): parse the JSON archive written by
+// a previous run and diff events / wall-clock.
 // ---------------------------------------------------------------
 
 /** Row cells of the "perf_smoke" table in an archived JSON file.
@@ -292,17 +247,6 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
 
         if (eventsOnly)
             continue;
-        // A threaded row timed on a host with fewer cores than the
-        // kernel's worker count measures oversubscription, not the
-        // simulator -- skip the host-speed checks VISIBLY rather
-        // than recording a bogus regression.
-        if (hostCores() < r.threadsNeeded) {
-            std::cout << r.name
-                      << ": wall-clock/Mticks SKIPPED (hostCores="
-                      << hostCores() << " < " << r.threadsNeeded
-                      << " threads needed)\n";
-            continue;
-        }
         const double limit = baseWall * (1.0 + wallTolPct / 100.0);
         if (r.wallMs > limit) {
             std::cerr << r.name << ": wall-clock REGRESSED: "
@@ -364,19 +308,16 @@ main(int argc, char **argv)
         results.push_back(runConfig(sc, opts));
 
     core::Table table({"config", "policy", "simMs", "wallMs",
-                       "events", "events/quantum", "Mticks/s",
-                       "threads"});
+                       "events", "events/quantum", "Mticks/s"});
     for (const auto &r : results) {
         table.addRow({r.name, r.policy, core::fmt(r.simMs, 2),
                       core::fmt(r.wallMs, 2),
                       std::to_string(r.events),
                       core::fmt(r.eventsPerQuantum, 1),
-                      core::fmt(r.mticksPerSec, 2),
-                      std::to_string(r.threadsNeeded)});
+                      core::fmt(r.mticksPerSec, 2)});
     }
     std::cout << "Simulation performance smoke (WL-1, 32 Gb, scale "
-              << opts.timeScale << ", hostCores " << hostCores()
-              << ")\n\n";
+              << opts.timeScale << ")\n\n";
     emit(opts, table, "perf_smoke");
     std::cout << "\n";
 

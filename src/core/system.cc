@@ -61,31 +61,6 @@ System::System(const SystemConfig &cfg)
         eq_, dev_, std::move(refresh), cfg_.mcParams);
     mc_->registerStats(registry_, "mc");
 
-    // Sharded kernel: one controller lane per channel (shards > 0)
-    // and/or one lane per core cluster (coreLanes > 0), plus the
-    // cross-shard router; cores then talk to the router, not the
-    // controller.  The worker count is fixed at run() time (probes
-    // force sequential lanes).  Core lanes shrink the window to
-    // coreLaneEpoch and align every window boundary to the OS
-    // quantum so setTask and director actions always run with the
-    // lanes caught up.
-    effCoreLanes_ = std::min(cfg_.coreLanes, cfg_.numCores);
-    const bool laneMode = effCoreLanes_ > 0;
-    if (cfg_.shards > 0 || laneMode) {
-        const Tick epoch = laneMode
-            ? std::min(cfg_.shardEpoch, cfg_.coreLaneEpoch)
-            : cfg_.shardEpoch;
-        shardKernel_ = std::make_unique<ShardKernel>(
-            eq_, cfg_.shards > 0 ? cfg_.channels : 0, epoch,
-            effCoreLanes_, laneMode ? cfg_.effectiveQuantum() : 0);
-        shardRouter_ = std::make_unique<memctrl::ShardRouter>(
-            *shardKernel_, *mc_, cfg_.shards > 0);
-    }
-    memPort_ = shardRouter_
-        ? static_cast<memctrl::MemoryPort *>(shardRouter_.get())
-        : static_cast<memctrl::MemoryPort *>(mc_.get());
-    memctrl::MemoryPort &memPort = *memPort_;
-
     buddy_ = std::make_unique<os::BuddyAllocator>(mc_->mapping());
     vm_ = std::make_unique<os::VirtualMemory>(mc_->mapping(), *buddy_);
     caches_ = std::make_unique<cache::CacheHierarchy>(
@@ -94,35 +69,9 @@ System::System(const SystemConfig &cfg)
 
     for (int i = 0; i < cfg_.numCores; ++i) {
         cores_.push_back(std::make_unique<cpu::Core>(
-            eq_, i, cfg_.coreParams, *caches_, memPort, *vm_));
+            eq_, i, cfg_.coreParams, *caches_, *mc_, *vm_));
         cores_.back()->registerStats(registry_,
                                      "core" + std::to_string(i));
-    }
-
-    // Core-cluster lanes: contiguous blocks -- core i lives on
-    // cluster i * lanes / numCores.  The assignment only decides
-    // which thread runs the core; results are identical for every
-    // lane count >= 1 (see shard_kernel.hh).  The fabric's boundary
-    // hook runs after the router's (registration order), so a
-    // resumed core observes this window's completions already
-    // staged.
-    if (laneMode) {
-        caches_->enableLaneMode();
-        std::vector<EventQueue *> laneOfCore;
-        std::vector<cpu::Core *> corePtrs;
-        for (int i = 0; i < cfg_.numCores; ++i) {
-            const int cluster = i * effCoreLanes_ / cfg_.numCores;
-            EventQueue &lane = shardKernel_->clusterLane(cluster);
-            cores_[static_cast<std::size_t>(i)]->attachCoreLane(lane);
-            laneOfCore.push_back(&lane);
-            corePtrs.push_back(
-                cores_[static_cast<std::size_t>(i)].get());
-        }
-        shardRouter_->setCoreLanes(std::move(laneOfCore));
-        fabric_ = std::make_unique<ClusterFabric>(
-            std::move(corePtrs), *caches_, *vm_);
-        shardKernel_->setBoundaryHook(
-            [this](Tick b) { fabric_->onBoundary(b); });
     }
 
     os::SchedulerParams sp;
@@ -205,17 +154,14 @@ System::System(const SystemConfig &cfg)
                                   gen.footprintBytes());
         };
         director_ = std::make_unique<os::ScenarioDirector>(
-            eq_, *sched_, *vm_, *buddy_, *memPort_, mc_->mapping(),
+            eq_, *sched_, *vm_, *buddy_, *mc_, mc_->mapping(),
             cfg_.scenario, std::move(hooks));
         director_->registerStats(registry_, "scenario");
         director_->setProbe(probeHub_.get());
     }
 
-    // Open-loop serving: the injector lives on the main lane (like
-    // the scenario director); its coreId = -1 reads stage through
-    // the router onto their owning channel lane at epoch boundaries
-    // in sharded mode, so enabling it never perturbs the
-    // {jobs}x{shards}x{core-lanes} identity matrix.
+    // Open-loop serving: coreId = -1 reads enter the controller
+    // directly, like the scenario director's migration traffic.
     if (cfg_.serving.enabled) {
         workload::ServingInjector::Hooks hooks;
         if (director_) {
@@ -238,30 +184,19 @@ System::System(const SystemConfig &cfg)
             return vm_->translate(t, vaddr);
         };
         servingInjector_ = std::make_unique<workload::ServingInjector>(
-            cfg_.serving, eq_, *memPort_, std::move(hooks),
+            cfg_.serving, eq_, *mc_, std::move(hooks),
             cfg_.seed);
         servingInjector_->registerStats(registry_, "serving");
     }
 
-    // Sampled telemetry: constructed and hooked AFTER every other
-    // component so that in sharded mode its boundary hook is the
-    // LAST phase-C hook -- the router and fabric have drained their
-    // mailboxes and the window is sealed when the samplers read the
-    // component counters.  Telemetry never routes through the probe
-    // hub, so enabling it keeps the kernel's worker threads (probes
-    // force sequential lanes; telemetry must not).  The kernel
-    // self-profiler rides along: it is opt-in for the same runs.
+    // Sampled telemetry: constructed AFTER every other component so
+    // every series it registers has a sampler target.  A periodic
+    // StatDump-priority event drives it, after all same-tick work.
     if (cfg_.telemetry.enabled) {
         telemetry_ =
             std::make_unique<obs::TelemetryRecorder>(cfg_.telemetry);
         wireTelemetry();
-        if (shardKernel_) {
-            shardKernel_->setBoundaryHook(
-                [this](Tick b) { telemetry_->onBoundary(b); });
-            shardKernel_->enableProfile();
-        } else {
-            telemetry_->armPeriodic(eq_);
-        }
+        telemetry_->armPeriodic(eq_);
     }
     profile_.constructMs = msSince(t0);
 }
@@ -510,7 +445,9 @@ System::wireTelemetry()
         return static_cast<std::int64_t>(std::llround(s.value()));
     };
 
-    // Lane 0: main-lane software components (scheduler, serving).
+    // Lane 0: software components (scheduler, serving).  The lane
+    // ids are the export's series-group labels, kept in the JSONL
+    // schema line.
     tel.addDelta("sched.quanta", 0, [this, count] {
         return count(sched_->quantaScheduled);
     });
@@ -635,19 +572,6 @@ System::run(int warmupQuanta, int measureQuanta)
         director_->start(initial);
     }
 
-    // Worker threads only pay off without instrumentation: probes
-    // fan into one shared hub, so any attached probe (or checker
-    // set) forces sequential lane execution.  Results are identical
-    // either way -- the sharded kernel's phase order is fixed.
-    if (shardKernel_) {
-        shardKernel_->setWorkers(
-            probeHub_ ? 1 : cfg_.shards + effCoreLanes_);
-    }
-    const auto runKernel = [this](Tick limit) {
-        return shardKernel_ ? shardKernel_->runUntil(limit)
-                            : eq_.runUntil(limit);
-    };
-
     // Pre-size the sample buffers for the whole run so the sampling
     // hot path never allocates (warmup passes are dropped at the
     // measurement reset; the capacity survives).
@@ -660,13 +584,13 @@ System::run(int warmupQuanta, int measureQuanta)
 
     const auto w0 = ProfileClock::now();
     profile_.warmupEvents =
-        runKernel(static_cast<Tick>(warmupQuanta) * q);
+        eq_.runUntil(static_cast<Tick>(warmupQuanta) * q);
     profile_.warmupMs = msSince(w0);
     resetMeasurement();
 
     const Tick start = eq_.now();
     const auto m0 = ProfileClock::now();
-    profile_.measureEvents = runKernel(
+    profile_.measureEvents = eq_.runUntil(
         static_cast<Tick>(warmupQuanta + measureQuanta) * q);
     profile_.measureMs = msSince(m0);
     if (probeHub_)
@@ -698,12 +622,7 @@ System::writeStatsJson(std::ostream &os, const Metrics &m) const
        << ", \"warmupEvents\": " << profile_.warmupEvents
        << ", \"measureEvents\": " << profile_.measureEvents
        << ", \"measureEventsPerSec\": "
-       << profile_.measureEventsPerSec();
-    if (shardKernel_ && shardKernel_->profileEnabled()) {
-        os << ", \"kernel\": ";
-        shardKernel_->renderProfileJson(os);
-    }
-    os << "},\n"
+       << profile_.measureEventsPerSec() << "},\n"
        << "  \"stats\": ";
     registry_.dumpJson(os, 2);
     os << "\n}\n";

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "cache/cache_hierarchy.hh"
-#include "core/cluster_fabric.hh"
 #include "core/metrics.hh"
 #include "core/system_config.hh"
 #include "cpu/core.hh"
@@ -31,12 +30,10 @@
 #include "os/scenario_director.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
-#include "memctrl/shard_router.hh"
 #include "os/virtual_memory.hh"
 #include "obs/telemetry.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/probe.hh"
-#include "simcore/shard_kernel.hh"
 #include "simcore/stats.hh"
 #include "workload/serving.hh"
 #include "workload/trace_generator.hh"
@@ -68,20 +65,8 @@ class System
     // --- Component access (examples, tests, custom experiments) ---
     EventQueue &eventQueue() { return eq_; }
 
-    /** The sharded kernel, or null under the legacy kernel. */
-    ShardKernel *shardKernel() { return shardKernel_.get(); }
-
-    /** Core-cluster lane count after clamping to numCores (0 when
-     *  core lanes are off). */
-    int effectiveCoreLanes() const { return effCoreLanes_; }
-
-    /** Events executed across every lane (legacy: the one queue). */
-    std::uint64_t
-    executedEvents() const
-    {
-        return shardKernel_ ? shardKernel_->executedTotal()
-                            : eq_.executedCount();
-    }
+    /** Events executed by the event queue so far. */
+    std::uint64_t executedEvents() const { return eq_.executedCount(); }
     memctrl::MemoryController &controller() { return *mc_; }
     os::BuddyAllocator &buddy() { return *buddy_; }
     os::VirtualMemory &vm() { return *vm_; }
@@ -100,12 +85,9 @@ class System
         return servingInjector_.get();
     }
     /** The telemetry recorder, or null when cfg.telemetry is
-     *  disabled.  Sampling never perturbs simulated behaviour: in
-     *  sharded mode it reads sealed window state from a boundary
-     *  hook; in legacy mode it is a StatDump-priority event.
-     *  Series values are byte-identical across {jobs} x {shards} x
-     *  {workers} within a kernel timing mode (core lanes on/off are
-     *  distinct modes, like the rest of the identity contract). */
+     *  disabled.  Sampling never perturbs simulated behaviour: it is
+     *  a StatDump-priority event, after all same-tick work.  Series
+     *  values are byte-identical across --jobs. */
     obs::TelemetryRecorder *telemetry() { return telemetry_.get(); }
 
     const SystemConfig &config() const { return cfg_; }
@@ -176,8 +158,7 @@ class System
     void preTouchFootprints();
     void resetMeasurement();
     /** Register every telemetry series (channel, core, scheduler,
-     *  serving) in (laneId, seriesId) order and hook the recorder
-     *  into the active kernel. */
+     *  serving) in (laneId, seriesId) order. */
     void wireTelemetry();
 
     /** ScenarioDirector spawn hook: create the Task + source for a
@@ -191,10 +172,6 @@ class System
     StatRegistry registry_;
 
     std::unique_ptr<memctrl::MemoryController> mc_;
-    std::unique_ptr<ShardKernel> shardKernel_;
-    std::unique_ptr<memctrl::ShardRouter> shardRouter_;
-    std::unique_ptr<ClusterFabric> fabric_;
-    int effCoreLanes_ = 0;
     std::unique_ptr<os::BuddyAllocator> buddy_;
     std::unique_ptr<os::VirtualMemory> vm_;
     std::unique_ptr<cache::CacheHierarchy> caches_;
@@ -207,10 +184,6 @@ class System
     /** Stable live-task list for serving without a scenario. */
     std::vector<os::Task *> servingTasks_;
     std::unique_ptr<obs::TelemetryRecorder> telemetry_;
-
-    /** The port cores (and the scenario engine's migration traffic)
-     *  enqueue into: the router in sharded mode, else the MC. */
-    memctrl::MemoryPort *memPort_ = nullptr;
 
     /** Refresh-schedule exposure (empty result under non-analytic
      *  policies); feeds Algorithm 3 and the adversarial generator. */

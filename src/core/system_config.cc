@@ -137,14 +137,6 @@ SystemConfig::check() const
     }
     if (etaThresh < 1)
         fatal("etaThresh must be >= 1");
-    if (shards < 0)
-        fatal("shards must be >= 0 (0 = legacy kernel)");
-    if (shards > 0 && shardEpoch <= 0)
-        fatal("sharded kernel needs a positive epoch");
-    if (coreLanes < 0)
-        fatal("coreLanes must be >= 0 (0 = cores on the main lane)");
-    if (coreLanes > 0 && coreLaneEpoch <= 0)
-        fatal("core-cluster lanes need a positive epoch");
     serving.check();
     telemetry.check();
 }

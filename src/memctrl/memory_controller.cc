@@ -52,10 +52,8 @@ MemoryController::MemoryController(
         fatal("write high watermark exceeds queue capacity");
 
     channels_.reserve(static_cast<std::size_t>(cfg_.org.channels));
-    for (int ch = 0; ch < cfg_.org.channels; ++ch) {
+    for (int ch = 0; ch < cfg_.org.channels; ++ch)
         channels_.emplace_back(cfg_, params_);
-        channels_.back().eq = &eq_;
-    }
 
     // Arm each channel for its first refresh command.
     for (int ch = 0; ch < cfg_.org.channels; ++ch) {
@@ -71,7 +69,7 @@ MemoryController::enqueue(Request req)
     req.coord = mapping_.decompose(req.paddr);
     const int ch = req.coord.channel;
     auto &c = channels_[static_cast<std::size_t>(ch)];
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
 
     const int bankIdx = bankIndex(req.coord.rank, req.coord.bank);
     if (req.isRead()) {
@@ -88,14 +86,8 @@ MemoryController::enqueue(Request req)
                 ++c.stats.reads;
                 const Tick doneAt = now + cfg_.timings.tCK;
                 if (req.completion) {
-                    if (completionSink_) {
-                        completionSink_->complete(
-                            ch, req.coreId, doneAt, *req.completion,
-                            req.cookie0, req.cookie1);
-                    } else {
-                        eq_.schedule(doneAt, *req.completion,
-                                     req.cookie0, req.cookie1);
-                    }
+                    eq_.schedule(doneAt, *req.completion, req.cookie0,
+                                 req.cookie1);
                 }
                 c.stats.readLatency.sample(
                     static_cast<double>(cfg_.timings.tCK));
@@ -143,23 +135,6 @@ MemoryController::enqueue(Request req)
 
     scheduleTick(ch, clock_.nextEdgeAtOrAfter(now));
     return true;
-}
-
-void
-MemoryController::setChannelLane(int channel, EventQueue *lane)
-{
-    REFSCHED_ASSERT(lane != nullptr, "null channel lane");
-    auto &c = channels_[static_cast<std::size_t>(channel)];
-    REFSCHED_ASSERT(lane->now() == c.eq->now(),
-                    "channel lane migration requires queues in sync");
-    // Re-arm a pending tick on the new lane (the constructor arms
-    // the first refresh before lanes exist).
-    const Tick at = c.tickScheduledAt;
-    c.tickEvent.cancel();
-    c.eq = lane;
-    c.tickScheduledAt = kMaxTick;
-    if (at != kMaxTick)
-        scheduleTick(channel, at);
 }
 
 void
@@ -243,7 +218,7 @@ MemoryController::readQueueOccupancyIntegral(int channel) const
 {
     const auto &c = channels_[static_cast<std::size_t>(channel)];
     double v = c.stats.readQOccIntegral.value();
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     if (now > c.occMark)
         v += static_cast<double>(now - c.occMark)
             * static_cast<double>(c.readQ.size());
@@ -255,7 +230,7 @@ MemoryController::writeQueueOccupancyIntegral(int channel) const
 {
     const auto &c = channels_[static_cast<std::size_t>(channel)];
     double v = c.stats.writeQOccIntegral.value();
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     if (now > c.occMark)
         v += static_cast<double>(now - c.occMark)
             * static_cast<double>(c.writeQ.size());
@@ -280,7 +255,7 @@ void
 MemoryController::resetOccupancyMarks()
 {
     for (auto &c : channels_) {
-        c.occMark = c.eq->now();
+        c.occMark = eq_.now();
         c.stats.readQPeakDepth.set(
             static_cast<double>(c.readQ.size()));
         c.stats.writeQPeakDepth.set(
@@ -306,12 +281,12 @@ void
 MemoryController::scheduleTick(int ch, Tick when)
 {
     auto &c = channels_[static_cast<std::size_t>(ch)];
-    when = clock_.nextEdgeAtOrAfter(std::max(when, c.eq->now()));
+    when = clock_.nextEdgeAtOrAfter(std::max(when, eq_.now()));
     if (c.tickEvent.pending() && c.tickScheduledAt <= when)
         return;
     c.tickEvent.cancel();
     c.tickScheduledAt = when;
-    c.tickEvent = c.eq->schedule(
+    c.tickEvent = eq_.schedule(
         when, *this, static_cast<std::uint64_t>(ch), 0,
         EventPriority::ClockEdge);
 }
@@ -319,7 +294,7 @@ MemoryController::scheduleTick(int ch, Tick when)
 void
 MemoryController::rollUtilizationEpoch(Channel &c)
 {
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     while (now >= c.epochStart + epochLength_) {
         c.lastUtil = std::min(
             1.0, static_cast<double>(c.busyTicks)
@@ -332,7 +307,7 @@ MemoryController::rollUtilizationEpoch(Channel &c)
 void
 MemoryController::harvestDueRefreshes(Channel &c, int ch)
 {
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     while (refresh_->nextDue(ch) <= now) {
         RefreshCommand cmd = refresh_->pop(ch, *this);
         if (cmd.tRFC == 0 || cmd.rows == 0) {
@@ -378,7 +353,7 @@ MemoryController::mcActivate(Channel &c, int bankIdx,
                              const dram::DramTimings &t)
 {
     dram::Bank &b = *c.bank[static_cast<std::size_t>(bankIdx)];
-    b.activate(c.eq->now(), static_cast<std::int64_t>(row), t);
+    b.activate(eq_.now(), static_cast<std::int64_t>(row), t);
     c.openMask |= 1ULL << bankIdx;
 
     // Recompute this bank's hit counts: the requests matching the
@@ -407,7 +382,7 @@ MemoryController::mcPrecharge(Channel &c, int bankIdx,
                               const dram::DramTimings &t)
 {
     dram::Bank &b = *c.bank[static_cast<std::size_t>(bankIdx)];
-    b.precharge(c.eq->now(), t);
+    b.precharge(eq_.now(), t);
     const std::uint64_t bit = 1ULL << bankIdx;
     c.openMask &= ~bit;
     c.readHitCnt[static_cast<std::size_t>(bankIdx)] = 0;
@@ -484,7 +459,7 @@ MemoryController::refreshEngineStep(Channel &c, int ch, Tick &wake)
     if (c.pendingRefreshes.empty())
         return false;
 
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     auto cand = [&](Tick t) {
         if (t > now)
             wake = std::min(wake, t);
@@ -604,9 +579,9 @@ MemoryController::completeRead(Channel &c, Request &req, Tick dataAt)
     c.stats.readLatency.sample(latency);
     c.stats.readLatencyDist.sample(latency);
     c.stats.readQueueWait.sample(
-        static_cast<double>(c.eq->now() - req.enqueuedAt));
+        static_cast<double>(eq_.now() - req.enqueuedAt));
     c.stats.readQueueWaitHist.sample(
-        static_cast<double>(c.eq->now() - req.enqueuedAt));
+        static_cast<double>(eq_.now() - req.enqueuedAt));
     if (req.blockedByRefresh) {
         ++c.stats.readsBlockedByRefresh;
         c.stats.readLatencyBlocked.sample(latency);
@@ -620,16 +595,8 @@ MemoryController::completeRead(Channel &c, Request &req, Tick dataAt)
     // Intrusive completion: the (callee, cookies) triple goes into
     // the event slot as plain data, so the hottest path in the
     // simulator schedules without allocating.
-    if (req.completion) {
-        if (completionSink_) {
-            completionSink_->complete(req.coord.channel, req.coreId,
-                                      dataAt, *req.completion,
-                                      req.cookie0, req.cookie1);
-        } else {
-            eq_.schedule(dataAt, *req.completion, req.cookie0,
-                         req.cookie1);
-        }
-    }
+    if (req.completion)
+        eq_.schedule(dataAt, *req.completion, req.cookie0, req.cookie1);
 }
 
 bool
@@ -640,7 +607,7 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
         return false;
 
     constexpr auto kNone = BankedRequestQueue::kNone;
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     const auto &t = cfg_.timings;
     const int banksPerRank = cfg_.org.banksPerRank;
 
@@ -969,7 +936,7 @@ MemoryController::closedPagePrecharge(Channel &c,
                                       [[maybe_unused]] int ch,
                                       Tick &wake)
 {
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     const auto &t = cfg_.timings;
 
     auto cand = [&](Tick when) {
@@ -1014,7 +981,7 @@ MemoryController::idleRowPrecharge(Channel &c,
                                    [[maybe_unused]] int ch,
                                    Tick &wake)
 {
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
     const auto &t = cfg_.timings;
 
     auto cand = [&](Tick when) {
@@ -1063,7 +1030,7 @@ MemoryController::tick(int ch)
 {
     auto &c = channels_[static_cast<std::size_t>(ch)];
     c.tickScheduledAt = kMaxTick;
-    const Tick now = c.eq->now();
+    const Tick now = eq_.now();
 
     // Close the open refresh-blocked interval.  Between the tick
     // that opened it and this one, no command issued and no engine

@@ -48,7 +48,6 @@
 #include "dram/refresh_scheduler.hh"
 #include "dram/timings.hh"
 #include "memctrl/banked_request_queue.hh"
-#include "memctrl/memory_port.hh"
 #include "memctrl/request.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/probe.hh"
@@ -126,33 +125,9 @@ struct ControllerParams
     Tick openRowIdleTimeout = 250000;
 };
 
-class MemoryController : public MemoryPort,
-                         public dram::McRefreshView,
-                         public Callee
+class MemoryController : public dram::McRefreshView, public Callee
 {
   public:
-    /**
-     * Receiver for read-completion events in sharded mode: instead
-     * of scheduling req.completion on its own event queue, the
-     * controller hands the (when, callee, cookies) quadruple to the
-     * sink, which stages it for cross-shard delivery to the lane the
-     * requesting core lives on.  Null (the default) schedules
-     * directly -- the legacy single-queue path.
-     */
-    class CompletionSink
-    {
-      public:
-        /** @p coreId is the requester (Request::coreId; -1 for
-         *  non-core traffic such as migration reads), letting the
-         *  sink route the delivery to that core's lane. */
-        virtual void complete(int channel, int coreId, Tick when,
-                              Callee &callee, std::uint64_t cookie0,
-                              std::uint64_t cookie1) = 0;
-
-      protected:
-        ~CompletionSink() = default;
-    };
-
     MemoryController(EventQueue &eq, const dram::DramDeviceConfig &cfg,
                      std::unique_ptr<dram::RefreshScheduler> refresh,
                      const ControllerParams &params = {});
@@ -167,25 +142,10 @@ class MemoryController : public MemoryPort,
      * data-burst-done time.  Reads that hit a queued write are
      * forwarded and complete on the next cycle.
      */
-    bool enqueue(Request req) override;
+    bool enqueue(Request req);
 
     /** One-shot callback fired when queue space frees up. */
-    void requestRetryNotification(std::function<void()> cb) override;
-
-    /**
-     * Move @p channel onto its own event-queue lane (sharded
-     * kernel).  All of the channel's controller state -- its clock
-     * ticks, its notion of now() -- migrates to @p lane; a pending
-     * tick event is re-armed there.  Call only while all queues
-     * agree on the current tick (i.e. before running).
-     */
-    void setChannelLane(int channel, EventQueue *lane);
-
-    /** Redirect read completions through @p sink (null = direct). */
-    void setCompletionSink(CompletionSink *sink)
-    {
-        completionSink_ = sink;
-    }
+    void requestRetryNotification(std::function<void()> cb);
 
     /** Register this controller's stats under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix);
@@ -325,18 +285,8 @@ class MemoryController : public MemoryPort,
         BankedRequestQueue readQ;
         BankedRequestQueue writeQ;
 
-        /**
-         * The event queue this channel's controller clock lives on.
-         * The legacy kernel points every channel at the system
-         * queue; the sharded kernel gives each channel its own lane
-         * so channels tick concurrently between epoch barriers.
-         * All channel-scoped code derives now() from here.
-         */
-        EventQueue *eq = nullptr;
-
-        /** Request age stamp.  Per channel (not global) so lanes
-         *  never share a counter: FR-FCFS only ever compares ages
-         *  within one channel's queues, where a per-channel counter
+        /** Request age stamp.  FR-FCFS only ever compares ages
+         *  within one channel's queues, so a per-channel counter
          *  yields the same relative order as a global one. */
         std::uint64_t nextSeq = 0;
         std::deque<dram::RefreshCommand> pendingRefreshes;
@@ -494,7 +444,6 @@ class MemoryController : public MemoryPort,
     std::vector<std::function<void()>> retryWaiters_;
     Tick epochLength_;
     validate::Probe *probe_ = nullptr;
-    CompletionSink *completionSink_ = nullptr;
 };
 
 } // namespace refsched::memctrl

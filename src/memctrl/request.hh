@@ -34,16 +34,6 @@ struct Request
     /** Tick the request entered the controller queue. */
     Tick enqueuedAt = 0;
 
-    /**
-     * Core-local tick at which the issuer generated the request.
-     * Under core-cluster lanes the router merges the per-core
-     * staging boxes at each window boundary by (issueTick, coreId,
-     * staging order) -- a partition-invariant key, so any cluster
-     * assignment and worker count delivers identical channel
-     * arrival order.  Unused (0) on the legacy paths.
-     */
-    Tick issueTick = 0;
-
     /** Pre-decoded DRAM coordinates (filled by the controller). */
     dram::DramCoord coord;
 
@@ -71,12 +61,9 @@ struct Request
      * completion cookies are already spoken for (the open-loop
      * serving injector packs slot/line indices).  When non-null the
      * controller stores the final blocked state here at read
-     * completion; the storage must stay valid until then, and each
-     * in-flight request needs its own element -- under the sharded
-     * kernel the owning channel lane writes it, so sharing one flag
-     * across channels would race.  Forwarded reads (served from a
-     * queued write) bypass the DRAM banks entirely and leave the
-     * issuer's cleared flag untouched.
+     * completion; the storage must stay valid until then.
+     * Forwarded reads (served from a queued write) bypass the DRAM
+     * banks entirely and leave the issuer's cleared flag untouched.
      */
     std::uint8_t *blockedOut = nullptr;
 

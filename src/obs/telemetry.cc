@@ -75,19 +75,6 @@ TelemetryRecorder::samplePass(Tick stamp)
 }
 
 void
-TelemetryRecorder::onBoundary(Tick boundary)
-{
-    // A window ending at `boundary` has executed every event at
-    // ticks < boundary, so each period multiple m < boundary is
-    // fully covered; stamp the pass with m (the period grid), the
-    // values reflect the sealed window state.
-    while (nextSample_ < boundary) {
-        samplePass(nextSample_);
-        nextSample_ += cfg_.periodTicks;
-    }
-}
-
-void
 TelemetryRecorder::armPeriodic(EventQueue &eq)
 {
     REFSCHED_ASSERT(periodicEq_ == nullptr,

@@ -5,29 +5,13 @@
  *
  * A TelemetryRecorder holds an ordered set of registered series --
  * integer-valued gauges (sampled as-is) and deltas (difference since
- * the previous sample) -- and takes one sample pass per crossed
- * multiple of cfg.telemetry.periodTicks.  Two drivers exist:
- *
- *   sharded kernel  System registers onBoundary() as the LAST phase-C
- *                   boundary hook.  Every lane is quiescent there and
- *                   all mailboxes have been drained, so direct reads
- *                   of component counters observe the sealed window
- *                   state -- which is a pure function of simulated
- *                   time, independent of the lane partition and
- *                   worker count.  Samples therefore never route
- *                   through the probe hub (a probe forces sequential
- *                   lanes; telemetry must not).
- *   legacy kernel   armPeriodic() schedules an intrusive event at
- *                   each period multiple at EventPriority::StatDump,
- *                   i.e. after all same-tick simulation work.
- *
- * Sample stamps are the period multiples themselves in both modes; in
- * sharded mode the values reflect the first window boundary at or
- * after the stamp (the boundary grid is a fixed function of the
- * kernel mode, so output stays byte-identical across every
- * {jobs} x {shards >= 1} x {workers} combination within one timing
- * mode -- the same identity groups the stats JSON already obeys; see
- * DESIGN.md section 14).
+ * the previous sample) -- and takes one sample pass at every
+ * multiple of cfg.telemetry.periodTicks.  armPeriodic() drives it: a
+ * self-rescheduling intrusive event at each period multiple at
+ * EventPriority::StatDump, i.e. after all same-tick simulation work.
+ * Samplers read component counters directly, never through the probe
+ * hub, and the output is byte-identical across --jobs (DESIGN.md
+ * section 14).
  *
  * All series values are integers, rendered by exact integer
  * formatting, so the JSONL/CSV exports are byte-stable across hosts.
@@ -105,20 +89,13 @@ class TelemetryRecorder final : public Callee
     void reserveSamples(std::size_t passes);
 
     /**
-     * Sharded driver: phase-C boundary hook.  Takes one pass per
-     * period multiple crossed by the window ending at @p boundary
-     * (multiples m with m < boundary are fully executed there).
-     */
-    void onBoundary(Tick boundary);
-
-    /**
-     * Legacy driver: schedule an intrusive sampling event on @p eq
+     * Schedule an intrusive sampling event on @p eq
      * at each period multiple, at StatDump priority (after all
      * same-tick simulation work).
      */
     void armPeriodic(EventQueue &eq);
 
-    /** Callee: the legacy periodic sampling event. */
+    /** Callee: the periodic sampling event. */
     void fire(Tick now, std::uint64_t, std::uint64_t) override;
 
     /** Take one sample pass stamped @p stamp (values read now). */
@@ -126,14 +103,12 @@ class TelemetryRecorder final : public Callee
 
     /**
      * Measurement restart: drop buffered samples and re-prime every
-     * delta series from its current counter value.  Call with all
-     * lanes quiescent (System::resetMeasurement does).
+     * delta series from its current counter value.  Call between
+     * events (System::resetMeasurement does).
      */
     void restart();
 
     // --- Introspection (tests) ---
-    Tick periodTicks() const { return cfg_.periodTicks; }
-    Tick nextSampleTick() const { return nextSample_; }
     std::size_t seriesCount() const { return series_.size(); }
     std::size_t passCount() const { return passTicks_.size(); }
     Tick
@@ -150,11 +125,6 @@ class TelemetryRecorder final : public Callee
     seriesName(std::size_t series) const
     {
         return series_[series].name;
-    }
-    int
-    seriesLane(std::size_t series) const
-    {
-        return series_[series].laneId;
     }
 
     /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memctrl/memory_controller.hh"
 #include "simcore/logging.hh"
 
 namespace refsched::os
@@ -9,7 +10,7 @@ namespace refsched::os
 
 ScenarioDirector::ScenarioDirector(
     EventQueue &eq, Scheduler &sched, VirtualMemory &vm,
-    BuddyAllocator &buddy, memctrl::MemoryPort &mem,
+    BuddyAllocator &buddy, memctrl::MemoryController &mem,
     const dram::AddressMapping &mapping,
     const workload::ScenarioScript &script, Hooks hooks)
     : eq_(eq),

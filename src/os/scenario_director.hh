@@ -27,7 +27,7 @@
  *      source frame freed only when the last line has been read.
  *
  * All decisions derive from the script and the shared event queue, so
- * scenario runs are bit-identical across --jobs and --shards.
+ * scenario runs are bit-identical across --jobs.
  */
 
 #ifndef REFSCHED_OS_SCENARIO_DIRECTOR_HH
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "dram/address_mapping.hh"
-#include "memctrl/memory_port.hh"
 #include "os/buddy_allocator.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
@@ -51,6 +50,11 @@
 #include "simcore/probe.hh"
 #include "simcore/stats.hh"
 #include "workload/scenario.hh"
+
+namespace refsched::memctrl
+{
+class MemoryController;
+} // namespace refsched::memctrl
 
 namespace refsched::os
 {
@@ -83,7 +87,7 @@ class ScenarioDirector final : public Callee
 
     ScenarioDirector(EventQueue &eq, Scheduler &sched,
                      VirtualMemory &vm, BuddyAllocator &buddy,
-                     memctrl::MemoryPort &mem,
+                     memctrl::MemoryController &mem,
                      const dram::AddressMapping &mapping,
                      const workload::ScenarioScript &script,
                      Hooks hooks);
@@ -144,7 +148,7 @@ class ScenarioDirector final : public Callee
     Scheduler &sched_;
     VirtualMemory &vm_;
     BuddyAllocator &buddy_;
-    memctrl::MemoryPort &mem_;
+    memctrl::MemoryController &mem_;
     const dram::AddressMapping &mapping_;
     workload::ScenarioScript script_;
     Hooks hooks_;

@@ -22,8 +22,7 @@ namespace refsched
  * Every counter-based generator in the simulator draws from
  * mix(seed, streamKey, counter); two generators sharing a key (and
  * seed) would silently consume the *same* sequence, which breaks the
- * jobs=1-vs-N and shards/lanes bit-identity the moment their draw
- * orders diverge.  Keys live here, in one place, so collisions are
+ * jobs=1-vs-N bit-identity the moment their draw orders diverge.  Keys live here, in one place, so collisions are
  * a code-review diff rather than a debugging session.
  *
  * The stateful Rng consumers predating this scheme key themselves
@@ -53,8 +52,8 @@ inline constexpr std::uint64_t kServingAddr = 0x5345525641445231ULL;
  * Unlike the stateful Rng, interleaving draws from two CounterRngs
  * cannot entangle their sequences -- each owns an independent
  * counter -- which is exactly the property the open-loop serving
- * layer needs to stay bit-identical across {jobs}x{shards}x{lanes}
- * partitionings regardless of who draws first.
+ * layer needs to stay bit-identical across --jobs regardless of who
+ * draws first.
  */
 class CounterRng
 {

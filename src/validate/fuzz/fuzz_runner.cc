@@ -118,18 +118,6 @@ shrinkCandidates(const FuzzSample &s)
         v.warmupQuanta = 0;
         add(v);
     }
-    // Kernel partitioning off is the simpler machine; a defect that
-    // survives shards=0 / core_lanes=0 is not a partitioning bug.
-    if (s.coreLanes != 0) {
-        auto v = s;
-        v.coreLanes = 0;
-        add(v);
-    }
-    if (s.shards != 0) {
-        auto v = s;
-        v.shards = 0;
-        add(v);
-    }
     if (s.measureQuanta > 2) {
         auto v = s;
         v.measureQuanta = 2;

@@ -84,8 +84,6 @@ FuzzSample::serialize() const
            << "banks_per_task=" << banksPerTaskPerRank << "\n"
            << "warmup_quanta=" << warmupQuanta << "\n"
            << "measure_quanta=" << measureQuanta << "\n"
-           << "shards=" << shards << "\n"
-           << "core_lanes=" << coreLanes << "\n"
            << "benchmarks=" << joinBenchmarks(benchmarks) << "\n";
         if (!serving.empty())
             os << "serving=" << serving << "\n";
@@ -116,10 +114,6 @@ FuzzSample::describe() const
            << ", bpt " << banksPerTaskPerRank
            << (xorBankHash ? ", xor-hash" : "") << ", seed " << seed
            << ", [" << joinBenchmarks(benchmarks) << "]";
-        if (shards > 0)
-            os << ", shards " << shards;
-        if (coreLanes > 0)
-            os << ", core-lanes " << coreLanes;
         if (!scenario.empty()) {
             os << ", scenario(" << scenario.events.size() << " ev"
                << (scenario.migrate ? ", migrate" : "")
@@ -163,8 +157,6 @@ FuzzSample::toConfig(core::Policy policy) const
     cfg.etaThresh = etaThresh;
     cfg.bestEffort = bestEffort;
     cfg.banksPerTaskPerRank = banksPerTaskPerRank;
-    cfg.shards = shards;
-    cfg.coreLanes = coreLanes;
     cfg.benchmarks = benchmarks;
     cfg.scenario = scenario;
     if (!serving.empty())
@@ -232,10 +224,6 @@ FuzzSample::parse(const std::string &text)
             s.warmupQuanta = std::stoi(val);
         } else if (key == "measure_quanta") {
             s.measureQuanta = std::stoi(val);
-        } else if (key == "shards") {
-            s.shards = std::stoi(val);
-        } else if (key == "core_lanes") {
-            s.coreLanes = std::stoi(val);
         } else if (key == "benchmarks") {
             s.benchmarks = splitBenchmarks(val);
         } else if (key == "serving") {
@@ -330,16 +318,6 @@ sampleSystemOnce(Rng &rng)
         : static_cast<int>(rng.inRange(
               1, static_cast<std::uint64_t>(s.banksPerRank)));
     s.warmupQuanta = static_cast<int>(rng.inRange(0, 2));
-    // Half the samples run a partitioned kernel: channel shards,
-    // core-cluster lanes, or both, including oversubscribed counts
-    // (the kernel clamps).  The lanes/shards identity oracle then
-    // polices the partition invariants continuously.
-    if (rng.bernoulli(0.5)) {
-        static constexpr int kShards[] = {0, 1, 2, 4};
-        static constexpr int kLanes[] = {0, 1, 2, 4};
-        s.shards = pick(rng, kShards);
-        s.coreLanes = pick(rng, kLanes);
-    }
     // Measure at least one full runqueue rotation so every task gets
     // scheduled and contributes a non-zero IPC to the harmonic mean
     // (a starved task would zero the dominance oracle's comparison).

@@ -191,41 +191,16 @@ void
 TraceRecorder::put(TraceKind kind, Tick tick,
                    std::initializer_list<std::uint64_t> fields)
 {
+    REFSCHED_ASSERT(tick >= lastTick_,
+                    "trace events must be recorded in tick order");
     REFSCHED_ASSERT(fields.size() == traceFieldCount(kind),
                     "trace field count mismatch");
-    Raw r;
-    r.kind = kind;
-    r.tick = tick;
-    std::copy(fields.begin(), fields.end(), r.f.begin());
-    pending_.push_back(r);
-    encoded_ = false;
-}
-
-const std::vector<std::uint8_t> &
-TraceRecorder::data() const
-{
-    if (!encoded_) {
-        // The sharded kernel reports each epoch window's channel-lane
-        // events after the main-lane events that follow them in
-        // simulated time; sorting stably by tick restores the
-        // canonical order without disturbing same-tick arrival order.
-        std::stable_sort(pending_.begin(), pending_.end(),
-                         [](const Raw &a, const Raw &b) {
-                             return a.tick < b.tick;
-                         });
-        buf_.clear();
-        Tick lastTick = 0;
-        for (const Raw &r : pending_) {
-            buf_.push_back(static_cast<std::uint8_t>(r.kind));
-            putVarint(buf_, r.tick - lastTick);
-            lastTick = r.tick;
-            const std::size_t n = traceFieldCount(r.kind);
-            for (std::size_t i = 0; i < n; ++i)
-                putVarint(buf_, r.f[i]);
-        }
-        encoded_ = true;
-    }
-    return buf_;
+    buf_.push_back(static_cast<std::uint8_t>(kind));
+    putVarint(buf_, tick - lastTick_);
+    lastTick_ = tick;
+    for (std::uint64_t f : fields)
+        putVarint(buf_, f);
+    ++count_;
 }
 
 void

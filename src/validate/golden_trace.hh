@@ -73,19 +73,12 @@ struct TraceEvent
 std::string describe(const TraceEvent &ev);
 
 /**
- * A probe that records every event for an in-memory encoded trace.
+ * A probe that appends every event to an in-memory encoded trace.
  * Scheduler runqueue churn is deliberately not recorded: picks,
  * allocations, and DRAM commands already pin down the observable
- * behaviour, and rq events would triple the trace size.
- *
- * Events are buffered raw and encoded on first data() access, after
- * a stable sort by tick.  The legacy kernel already emits events in
- * tick order, so the sort is the identity there and the encoding is
- * unchanged; the sharded kernel emits each epoch window's main-lane
- * events before the channel-lane events that precede them in
- * simulated time, and the sort restores the canonical global order
- * (within a tick, arrival order -- which is phase-deterministic and
- * therefore identical for every worker count).
+ * behaviour, and rq events would triple the trace size.  The event
+ * kernel reports events in tick order, so each record is encoded as
+ * it arrives.
  */
 class TraceRecorder final : public Probe
 {
@@ -99,24 +92,16 @@ class TraceRecorder final : public Probe
     void onTaskExit(const TaskLifeEvent &ev) override;
 
     /** Encoded records only (no file header). */
-    const std::vector<std::uint8_t> &data() const;
-    std::uint64_t eventCount() const { return pending_.size(); }
+    const std::vector<std::uint8_t> &data() const { return buf_; }
+    std::uint64_t eventCount() const { return count_; }
 
   private:
-    struct Raw
-    {
-        TraceKind kind;
-        Tick tick;
-        std::array<std::uint64_t, 5> f;
-    };
-
     void put(TraceKind kind, Tick tick,
              std::initializer_list<std::uint64_t> fields);
 
-    /** Raw event stream in arrival order; sorted at encode time. */
-    mutable std::vector<Raw> pending_;
-    mutable std::vector<std::uint8_t> buf_;
-    mutable bool encoded_ = false;
+    std::vector<std::uint8_t> buf_;
+    Tick lastTick_ = 0;
+    std::uint64_t count_ = 0;
 };
 
 /** Decode an encoded record stream; fatal() on malformed input. */

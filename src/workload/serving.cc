@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "memctrl/memory_controller.hh"
 #include "os/task.hh"
 #include "simcore/logging.hh"
 
@@ -83,8 +84,8 @@ ServingConfig::serialize() const
 
 ServingInjector::ServingInjector(const ServingConfig &cfg,
                                  EventQueue &eq,
-                                 memctrl::MemoryPort &mem, Hooks hooks,
-                                 std::uint64_t seed)
+                                 memctrl::MemoryController &mem,
+                                 Hooks hooks, std::uint64_t seed)
     : cfg_(cfg), eq_(eq), mem_(mem), hooks_(std::move(hooks)),
       arrivalGen_(cfg.shape, cfg.meanGapTicks(), seed, eq.now()),
       taskPick_(seed, rngstream::kServingTask),
@@ -220,7 +221,6 @@ ServingInjector::issueLines(std::size_t slot)
         req.type = memctrl::Request::Type::Read;
         req.coreId = -1;
         req.pid = s.pid;
-        req.issueTick = eq_.now();
         req.completion = this;
         req.cookie0 = slot;
         req.cookie1 = line;

@@ -23,12 +23,10 @@
  * Determinism: all randomness comes from CounterRng streams
  * (rngstream::kServingTask / kServingAddr) and the ArrivalProcess's
  * own streams, so the injected traffic is a pure function of the
- * seed and the completion timeline -- bit-identical across
- * {jobs} x {shards} x {core-lanes} within a kernel mode.  The
- * injector lives on the main lane; in sharded mode its coreId = -1
- * requests stage through the ShardRouter onto the owning channel
- * lane at the next epoch boundary, the same path the scenario
- * engine's migration traffic already takes.
+ * seed and the completion timeline -- bit-identical across --jobs.
+ * The injector's reads carry coreId = -1 and enter the controller
+ * directly, the same path the scenario engine's migration traffic
+ * takes.
  */
 
 #ifndef REFSCHED_WORKLOAD_SERVING_HH
@@ -40,12 +38,16 @@
 #include <string>
 #include <vector>
 
-#include "memctrl/memory_port.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/rng.hh"
 #include "simcore/stats.hh"
 #include "simcore/types.hh"
 #include "workload/arrival.hh"
+
+namespace refsched::memctrl
+{
+class MemoryController;
+} // namespace refsched::memctrl
 
 namespace refsched::os
 {
@@ -96,7 +98,7 @@ struct ServingConfig
 };
 
 /**
- * The open-loop injector: one Callee on the main-lane event queue
+ * The open-loop injector: one Callee on the system event queue
  * that turns arrival timestamps into DRAM read traffic and collects
  * per-request latency split clean vs refresh-blocked.
  */
@@ -116,7 +118,7 @@ class ServingInjector final : public Callee
     };
 
     ServingInjector(const ServingConfig &cfg, EventQueue &eq,
-                    memctrl::MemoryPort &mem, Hooks hooks,
+                    memctrl::MemoryController &mem, Hooks hooks,
                     std::uint64_t seed);
 
     /** Register serving.* stats under @p prefix. */
@@ -174,7 +176,7 @@ class ServingInjector final : public Callee
 
     ServingConfig cfg_;
     EventQueue &eq_;
-    memctrl::MemoryPort &mem_;
+    memctrl::MemoryController &mem_;
     Hooks hooks_;
 
     ArrivalProcess arrivalGen_;
@@ -183,9 +185,7 @@ class ServingInjector final : public Callee
 
     std::vector<Slot> slots_;
     /** Per (slot, line) refresh-blocked flags written by the
-     *  controller through Request::blockedOut.  Flat bytes: a line
-     *  is owned by exactly one channel, so concurrent channel lanes
-     *  never touch the same element. */
+     *  controller through Request::blockedOut. */
     std::vector<std::uint8_t> lineBlocked_;
     std::deque<Tick> backlog_;
     bool retryArmed_ = false;

@@ -3,11 +3,12 @@
  * End-to-end tests for the dynamic-workload scenario engine on the
  * checked-in adversarial-colocation fixture: churn mechanics and
  * accounting, the migration-recovers-stale-placement headline, and
- * bit-identical determinism across --jobs and --shards.
+ * bit-identical determinism across --jobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -129,45 +130,6 @@ TEST(ScenarioIntegrationTest, MigrationRecoversAdversarialColocation)
     (void)staleClean;
 }
 
-/** Run the fixture config under @p jobs workers, tracing each cell. */
-std::vector<Metrics>
-runScenarioGrid(int jobs, std::vector<validate::TraceRecorder> &recs)
-{
-    const bool variants[] = {true, false};
-    recs.assign(2, validate::TraceRecorder{});
-    std::vector<CellSpec> specs;
-    for (std::size_t i = 0; i < 2; ++i) {
-        SystemConfig cfg = fixtureConfig(variants[i]);
-        validate::TraceRecorder *rec = &recs[i];
-        CellSpec spec;
-        spec.custom = [cfg, rec] {
-            System sys(cfg);
-            sys.attachProbe(rec);
-            return sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/4);
-        };
-        specs.push_back(std::move(spec));
-    }
-    return ParallelRunner(jobs).runCells(specs);
-}
-
-TEST(ScenarioIntegrationTest, TraceIdenticalAcrossJobCounts)
-{
-    std::vector<validate::TraceRecorder> seq, par;
-    runScenarioGrid(/*jobs=*/1, seq);
-    runScenarioGrid(/*jobs=*/8, par);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        SCOPED_TRACE(i == 0 ? "migrate=1" : "migrate=0");
-        EXPECT_GT(seq[i].eventCount(), 0u);
-        if (seq[i].data() == par[i].data())
-            continue;
-        const validate::TraceDiff d =
-            validate::diffTraces(validate::decodeTrace(seq[i].data()),
-                                 validate::decodeTrace(par[i].data()));
-        ADD_FAILURE() << "jobs=1 vs jobs=8 trace divergence: "
-                      << d.describe();
-    }
-}
-
 /** writeStatsJson minus the host-wall-clock self-profile line. */
 std::string
 statsJsonStripped(System &sys, const Metrics &m)
@@ -184,42 +146,74 @@ statsJsonStripped(System &sys, const Metrics &m)
     return text;
 }
 
-TEST(ScenarioIntegrationTest, TraceAndStatsIdenticalAcrossShards)
+/** One traced fixture cell: its trace and stripped stats JSON. */
+struct TracedCell
 {
-    // The legacy (shards=0) and sharded kernels are different
-    // machines by design; the determinism claim is within the
-    // sharded kernel: every worker count produces the same bits.
-    const auto runSharded = [](int shards, bool withProbe) {
-        SystemConfig cfg = fixtureConfig(/*migrate=*/true);
-        cfg.channels = 2;
-        cfg.shards = shards;
-        System sys(cfg);
-        validate::TraceRecorder rec;
-        if (withProbe)
+    std::vector<std::uint8_t> trace;
+    std::string stats;
+};
+
+/** Run the fixture config (migrate on, then off) on @p channels
+ *  under @p jobs workers, tracing each cell. */
+std::vector<TracedCell>
+runScenarioGrid(int jobs, int channels)
+{
+    std::vector<TracedCell> out(2);
+    std::vector<CellSpec> specs;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        SystemConfig cfg = fixtureConfig(/*migrate=*/i == 0);
+        cfg.channels = channels;
+        TracedCell *slot = &out[i];
+        CellSpec spec;
+        spec.custom = [cfg, slot] {
+            validate::TraceRecorder rec;
+            System sys(cfg);
             sys.attachProbe(&rec);
-        const Metrics m = sys.run(/*warmupQuanta=*/1,
-                                  /*measureQuanta=*/4);
-        EXPECT_EQ(m.validationViolations, 0u) << m.firstViolation;
-        return std::make_pair(rec.data(), statsJsonStripped(sys, m));
-    };
-
-    const auto [traceOne, statsOne] = runSharded(1, true);
-    const auto [traceTwo, statsTwo] = runSharded(2, true);
-    EXPECT_FALSE(traceOne.empty());
-    if (traceOne != traceTwo) {
-        const validate::TraceDiff d =
-            validate::diffTraces(validate::decodeTrace(traceOne),
-                                 validate::decodeTrace(traceTwo));
-        ADD_FAILURE() << "shards=1 vs shards=2 trace divergence: "
-                      << d.describe();
+            const Metrics m = sys.run(/*warmupQuanta=*/1,
+                                      /*measureQuanta=*/4);
+            EXPECT_EQ(m.validationViolations, 0u) << m.firstViolation;
+            slot->trace = rec.data();
+            slot->stats = statsJsonStripped(sys, m);
+            return m;
+        };
+        specs.push_back(std::move(spec));
     }
-    EXPECT_EQ(statsOne, statsTwo);
+    ParallelRunner(jobs).runCells(specs);
+    return out;
+}
 
-    // No probe: shards=2 genuinely runs its lanes on worker threads.
-    const auto seq = runSharded(1, false);
-    const auto thr = runSharded(2, false);
-    EXPECT_FALSE(seq.second.empty());
-    EXPECT_EQ(seq.second, thr.second);
+/** Both grids must match cell for cell: trace bytes and stats. */
+void
+expectGridsIdentical(const std::vector<TracedCell> &seq,
+                     const std::vector<TracedCell> &par,
+                     const std::string &label)
+{
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+        SCOPED_TRACE(i == 0 ? "migrate=1" : "migrate=0");
+        EXPECT_FALSE(seq[i].trace.empty());
+        if (seq[i].trace != par[i].trace) {
+            const validate::TraceDiff d = validate::diffTraces(
+                validate::decodeTrace(seq[i].trace),
+                validate::decodeTrace(par[i].trace));
+            ADD_FAILURE() << label << " trace divergence: "
+                          << d.describe();
+        }
+        EXPECT_EQ(seq[i].stats, par[i].stats) << label;
+    }
+}
+
+TEST(ScenarioIntegrationTest, TraceIdenticalAcrossJobCounts)
+{
+    expectGridsIdentical(runScenarioGrid(/*jobs=*/1, /*channels=*/1),
+                         runScenarioGrid(/*jobs=*/8, /*channels=*/1),
+                         "jobs=1 vs jobs=8");
+}
+
+TEST(ScenarioIntegrationTest, TwoChannelTraceAndStatsIdenticalAcrossJobs)
+{
+    expectGridsIdentical(runScenarioGrid(/*jobs=*/1, /*channels=*/2),
+                         runScenarioGrid(/*jobs=*/4, /*channels=*/2),
+                         "2ch jobs=1 vs jobs=4");
 }
 
 } // namespace

@@ -33,7 +33,7 @@ using dram::DensityGb;
 using dram::RefreshPolicy;
 
 /** Callee double: stamps an optional<Tick> slot on completion. */
-struct CompletionSink : Callee
+struct ReadSink : Callee
 {
     void
     fire(Tick now, std::uint64_t slotAddr, std::uint64_t) override
@@ -117,7 +117,7 @@ struct Harness
     EventQueue eq;
     dram::DramDeviceConfig dev;
     MemoryController mc;
-    CompletionSink sink;
+    ReadSink sink;
     std::vector<std::shared_ptr<std::optional<Tick>>> doneSlots;
 };
 

@@ -24,7 +24,7 @@ using dram::RefreshPolicy;
  * data-ready tick.  The slot must outlive the scheduled completion
  * (tests hold them in shared_ptrs until after runUntil).
  */
-struct CompletionSink : Callee
+struct ReadSink : Callee
 {
     void
     fire(Tick now, std::uint64_t slotAddr, std::uint64_t) override
@@ -84,7 +84,7 @@ struct Harness
     EventQueue eq;
     dram::DramDeviceConfig dev;
     MemoryController mc;
-    CompletionSink sink;
+    ReadSink sink;
     std::vector<std::shared_ptr<std::optional<Tick>>> doneSlots;
 };
 
@@ -384,7 +384,7 @@ TEST(MemoryControllerRefreshTest, PausingShortensRefreshBlocking)
         // Let the first refresh (rank 0, bank 0) engage unopposed.
         eq.runUntil(nanoseconds(50.0));
         const Tick start = eq.now();
-        CompletionSink sink;
+        ReadSink sink;
         auto done = std::make_shared<std::optional<Tick>>();
         dram::DramCoord coord;
         coord.bank = 0;
@@ -461,7 +461,7 @@ TEST(MemoryControllerTest, ClosedPagePolicyClosesIdleRows)
         dram::makeRefreshScheduler(RefreshPolicy::NoRefresh, dev),
         params);
 
-    CompletionSink sink;
+    ReadSink sink;
     auto done = std::make_shared<std::optional<Tick>>();
     dram::DramCoord coord;
     coord.rank = 0;

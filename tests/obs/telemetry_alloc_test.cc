@@ -1,10 +1,10 @@
 /**
  * @file
  * Overhead guard for the telemetry layer: once the sample buffers
- * are reserved, the sampling hot path (boundary-hook passes in the
- * sharded kernel, samplePass in the legacy one) must not allocate --
- * it runs once per simulated microsecond on every configuration that
- * enables telemetry.  Enforced by the binary-wide counting operator
+ * are reserved, the sampling hot path (the periodic sampling event
+ * and its samplePass) must not allocate -- it runs once per
+ * simulated microsecond on every configuration that enables
+ * telemetry.  Enforced by the binary-wide counting operator
  * new replacement in alloc_watch.cc.
  */
 
@@ -14,6 +14,7 @@
 
 #include "alloc_watch.hh"
 #include "obs/telemetry.hh"
+#include "simcore/event_queue.hh"
 
 namespace refsched::obs
 {
@@ -39,13 +40,15 @@ TEST(TelemetryAllocTest, ReservedSamplingIsAllocationFree)
     rec.addDelta("ch0.reads", 1, [&counter] { return counter; });
     rec.addDelta("core0.instrs", 2, [&counter] { return counter; });
     rec.reserveSamples(1000);
+    EventQueue eq;
+    rec.armPeriodic(eq);
 
     AllocWatch watch;
     for (int i = 1; i <= 1000; ++i) {
         gauge = i % 7;
         counter += 13;
-        // Boundary windows of one period each: one pass per call.
-        rec.onBoundary(static_cast<Tick>(i) * 100 + 1);
+        // One period per step: exactly one sampling event fires.
+        eq.runUntil(static_cast<Tick>(i) * 100);
     }
     EXPECT_EQ(watch.count(), 0u)
         << "telemetry sampling allocated after reserveSamples";

@@ -1,22 +1,16 @@
 /**
  * @file
- * Telemetry partition-identity proof: the JSONL export is
- * byte-identical across every {jobs} x {shards >= 1} x {worker
- * count} combination WITHIN one timing mode, exactly like the stats
- * JSON (tests/validate/shard_identity_test.cc).  Sampling happens in
- * the sealed phase-C boundary hook, so the values are a pure
- * function of simulated time; the two timing modes (coreLanes == 0
- * vs >= 1) are never compared against each other, and the legacy
- * kernel (shards == 0) is checked for run-to-run determinism on its
- * own since its periodic-event driver shares no boundary grid with
- * the sharded one.
+ * Telemetry identity proof: the JSONL export is byte-identical across
+ * --jobs, exactly like the stats JSON and golden traces.  Sampling is
+ * a StatDump-priority event on the one event queue, so the values are
+ * a pure function of the configuration; running cells on worker
+ * threads must not move a byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -31,15 +25,12 @@ namespace
 {
 
 core::SystemConfig
-telemetryConfig(int shards, int coreLanes)
+telemetryConfig(core::Policy policy, int channels)
 {
     core::SystemConfig cfg = core::makeConfig(
-        "WL-1", core::Policy::CoDesign, dram::DensityGb::d32,
-        milliseconds(64.0), /*numCores=*/2, /*tasksPerCore=*/4,
-        /*timeScale=*/1024);
-    cfg.channels = 2;
-    cfg.shards = shards;
-    cfg.coreLanes = coreLanes;
+        "WL-1", policy, dram::DensityGb::d32, milliseconds(64.0),
+        /*numCores=*/2, /*tasksPerCore=*/4, /*timeScale=*/1024);
+    cfg.channels = channels;
     // Serving on, so the serving.* lane-0 series are exercised too.
     cfg.serving = workload::ServingConfig::parse(
         "arrival=mmpp,load=0.3,pool=4,queue=16,lines=4");
@@ -57,18 +48,23 @@ runTelemetryJsonl(const core::SystemConfig &cfg)
     return os.str();
 }
 
-/**
- * Run every (shards, coreLanes) cell under jobs workers and return
- * the telemetry JSONL per cell, in cell order.
- */
+/** One telemetry cell of the identity matrix. */
+struct Cell
+{
+    core::Policy policy;
+    int channels;
+};
+
+/** Run every cell under @p jobs workers and return the telemetry
+ *  JSONL per cell, in cell order. */
 std::vector<std::string>
-runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
+runMatrix(const std::vector<Cell> &cells, int jobs)
 {
     std::vector<std::string> out(cells.size());
     std::vector<core::CellSpec> specs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const core::SystemConfig cfg =
-            telemetryConfig(cells[i].first, cells[i].second);
+            telemetryConfig(cells[i].policy, cells[i].channels);
         std::string *slot = &out[i];
         core::CellSpec spec;
         spec.custom = [cfg, slot] {
@@ -86,16 +82,19 @@ runMatrix(const std::vector<std::pair<int, int>> &cells, int jobs)
     return out;
 }
 
-void
-expectGroupIdentical(const std::vector<std::pair<int, int>> &cells,
-                     const std::string &label)
+TEST(TelemetryIdentityTest, JobsMatrixIsByteIdentical)
 {
-    std::vector<std::string> seq, par;
-    for (int jobs : {1, 8})
-        (jobs == 1 ? seq : par) = runMatrix(cells, jobs);
+    const std::vector<Cell> cells = {
+        {core::Policy::CoDesign, 2},
+        {core::Policy::CoDesign, 1},
+        {core::Policy::AllBank, 2},
+        {core::Policy::PerBank, 1},
+    };
+    const std::vector<std::string> seq = runMatrix(cells, /*jobs=*/1);
+    const std::vector<std::string> par = runMatrix(cells, /*jobs=*/8);
 
-    // The export must carry real samples from every lane family, or
-    // identity proves nothing.
+    // The export must carry real samples from every series family,
+    // or identity proves nothing.
     ASSERT_FALSE(seq[0].empty());
     EXPECT_NE(seq[0].find("\"type\": \"schema\""),
               std::string::npos);
@@ -107,29 +106,17 @@ expectGroupIdentical(const std::vector<std::pair<int, int>> &cells,
         << "no sample passes in the measured interval";
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        std::ostringstream what;
-        what << label << " shards=" << cells[i].first
-             << " lanes=" << cells[i].second;
-        EXPECT_EQ(seq[0], seq[i]) << what.str() << " jobs=1";
-        EXPECT_EQ(seq[0], par[i]) << what.str() << " jobs=8";
+        EXPECT_EQ(seq[i], par[i])
+            << core::toString(cells[i].policy) << " channels="
+            << cells[i].channels << ": jobs=1 vs jobs=8";
     }
-}
-
-TEST(TelemetryIdentityTest, ShardedNoLanesGroupIsByteIdentical)
-{
-    expectGroupIdentical({{1, 0}, {2, 0}}, "no-lanes");
-}
-
-TEST(TelemetryIdentityTest, LaneModeGroupIsByteIdentical)
-{
-    expectGroupIdentical({{1, 1}, {2, 1}, {1, 2}, {2, 2}},
-                         "lane-mode");
 }
 
 TEST(TelemetryIdentityTest, LegacyKernelIsDeterministic)
 {
-    // shards == 0: the periodic StatDump event drives sampling.
-    const core::SystemConfig cfg = telemetryConfig(0, 0);
+    // Back-to-back runs of one cell on one thread.
+    const core::SystemConfig cfg =
+        telemetryConfig(core::Policy::CoDesign, 2);
     const std::string a = runTelemetryJsonl(cfg);
     const std::string b = runTelemetryJsonl(cfg);
     EXPECT_EQ(a, b);
@@ -141,7 +128,8 @@ TEST(TelemetryIdentityTest, CsvMatchesJsonlValues)
     // Same run exported both ways: the CSV must hold exactly the
     // JSONL passes (same count, same first stamp), proving the two
     // writers read one buffer rather than resampling.
-    const core::SystemConfig cfg = telemetryConfig(2, 0);
+    const core::SystemConfig cfg =
+        telemetryConfig(core::Policy::CoDesign, 2);
     core::System sys(cfg);
     sys.run(/*warmupQuanta=*/1, /*measureQuanta=*/2);
     const auto *tel = sys.telemetry();

@@ -1,10 +1,9 @@
 /**
  * @file
- * Telemetry-recorder units: sampling window semantics for both
- * drivers (sharded boundary hook, legacy periodic event), gauge vs
- * delta accounting, measurement restart re-priming, byte-exact
- * JSONL/CSV export, and the series-name grammar consumed by
- * tools/timeline_check.
+ * Telemetry-recorder units: sampling on the periodic event's grid,
+ * gauge vs delta accounting, measurement restart re-priming,
+ * byte-exact JSONL/CSV export, and the series-name grammar consumed
+ * by tools/timeline_check.
  */
 
 #include "obs/telemetry.hh"
@@ -70,38 +69,6 @@ TEST(TelemetryRecorderTest, DeltaPrimesAtRegistration)
     EXPECT_EQ(rec.value(0, 0), 20);
     EXPECT_EQ(rec.value(1, 0), 0);
     EXPECT_EQ(rec.value(2, 0), 30);
-}
-
-TEST(TelemetryRecorderTest, BoundaryHookSamplesEveryCrossedMultiple)
-{
-    TelemetryRecorder rec(enabledConfig(100));
-    std::int64_t v = 0;
-    rec.addGauge("sched.quanta", 0, [&v] { return v; });
-
-    // Window [0, 50): no multiple crossed (first sample is at 100,
-    // and a boundary at exactly 100 means tick 100 has NOT run yet).
-    rec.onBoundary(50);
-    EXPECT_EQ(rec.passCount(), 0u);
-    rec.onBoundary(100);
-    EXPECT_EQ(rec.passCount(), 0u);
-
-    // Window ending at 101 covers tick 100.
-    v = 1;
-    rec.onBoundary(101);
-    ASSERT_EQ(rec.passCount(), 1u);
-    EXPECT_EQ(rec.passTick(0), 100);
-    EXPECT_EQ(rec.value(0, 0), 1);
-
-    // A wide window takes one pass per crossed multiple, all stamped
-    // on the period grid with the sealed end-of-window value.
-    v = 9;
-    rec.onBoundary(501);
-    ASSERT_EQ(rec.passCount(), 5u);
-    EXPECT_EQ(rec.passTick(1), 200);
-    EXPECT_EQ(rec.passTick(4), 500);
-    for (std::size_t p = 1; p < 5; ++p)
-        EXPECT_EQ(rec.value(p, 0), 9);
-    EXPECT_EQ(rec.nextSampleTick(), 600);
 }
 
 TEST(TelemetryRecorderTest, LegacyPeriodicEventSamplesOnTheGrid)

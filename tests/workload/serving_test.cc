@@ -6,8 +6,11 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "core/parallel_runner.hh"
 #include "core/system.hh"
 #include "simcore/logging.hh"
 
@@ -102,24 +105,73 @@ TEST(ServingInjectorTest, OverloadDropsWhenBacklogFull)
     EXPECT_GT(inj->queueDelay().samples(), 0u);
 }
 
+/** writeStatsJson minus the host-wall-clock self-profile line. */
+std::string
+statsJsonStripped(core::System &sys, const core::Metrics &m)
+{
+    std::ostringstream os;
+    sys.writeStatsJson(os, m);
+    std::string text = os.str();
+    const auto at = text.find("\"selfProfile\"");
+    if (at != std::string::npos)
+        text.erase(at, text.find('\n', at) - at);
+    return text;
+}
+
 TEST(ServingInjectorTest, RunToRunDeterminism)
 {
     const auto spec = "arrival=mmpp,load=0.4,pool=4,queue=16,lines=4";
     auto jsonOf = [&] {
         core::System sys(servingSystemConfig(spec));
         const auto m = sys.run(0, 3);
-        std::ostringstream os;
-        sys.writeStatsJson(os, m);
-        std::string text = os.str();
-        const auto at = text.find("\"selfProfile\"");
-        if (at != std::string::npos)
-            text.erase(at, text.find('\n', at) - at);
-        return text;
+        return statsJsonStripped(sys, m);
     };
     const std::string a = jsonOf();
     const std::string b = jsonOf();
     EXPECT_EQ(a, b);
     EXPECT_NE(a.find("serving.reqLatency"), std::string::npos);
+}
+
+TEST(ServingIdentityTest, OpenLoopInjectionIdenticalAcrossJobs)
+{
+    // Serving cells on 1 and 2 channels, bursty and Poisson, run
+    // under one worker and under eight: the stats JSON (every
+    // serving.* histogram included) must be byte-identical.
+    const std::vector<std::pair<const char *, int>> cells = {
+        {"arrival=mmpp,load=0.3,pool=4,queue=16,lines=4", 2},
+        {"arrival=mmpp,load=0.3,pool=4,queue=16,lines=4", 1},
+        {"arrival=poisson,load=1.6,pool=2,queue=4,lines=4", 2},
+    };
+    const auto runGrid = [&cells](int jobs) {
+        std::vector<std::string> out(cells.size());
+        std::vector<core::CellSpec> specs;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const core::SystemConfig cfg =
+                servingSystemConfig(cells[i].first, cells[i].second);
+            std::string *slot = &out[i];
+            core::CellSpec spec;
+            spec.custom = [cfg, slot] {
+                core::System sys(cfg);
+                const auto m = sys.run(/*warmupQuanta=*/1,
+                                       /*measureQuanta=*/2);
+                *slot = statsJsonStripped(sys, m);
+                return m;
+            };
+            specs.push_back(std::move(spec));
+        }
+        core::ParallelRunner(jobs).runCells(specs);
+        return out;
+    };
+
+    const std::vector<std::string> seq = runGrid(/*jobs=*/1);
+    const std::vector<std::string> par = runGrid(/*jobs=*/8);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        // The stats must actually contain serving data, or identity
+        // proves nothing.
+        EXPECT_NE(seq[i].find("serving.arrivals"), std::string::npos);
+        EXPECT_EQ(seq[i], par[i])
+            << cells[i].first << " channels=" << cells[i].second;
+    }
 }
 
 TEST(ServingInjectorTest, StatsJsonCarriesServingIdentity)

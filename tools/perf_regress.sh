@@ -9,9 +9,8 @@
 # are quoted from) and runs bench/perf_smoke against the checked-in
 # baseline tools/perf_baseline.json:
 #
-#   events, events/quantum   must match the baseline exactly, for
-#               the legacy-kernel rows and the sharded-kernel row
-#               alike (the simulation is deterministic either way)
+#   events, events/quantum   must match the baseline exactly (the
+#               simulation is deterministic)
 #   wall-clock, Mticks/s     may regress by at most 20% (skipped by
 #               --events-only, which is what CI uses: host speed is
 #               machine-dependent, event counts are not)

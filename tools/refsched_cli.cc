@@ -8,13 +8,16 @@
  *                --policy per-bank --dump-stats
  *
  * Prints the headline metrics, a per-task table, and (optionally)
- * every registered statistic.  Exit code 0 on success, 2 on usage
- * errors.
+ * every registered statistic.  Exit code 0 on success; 1 on any
+ * invalid input (one "fatal:" line on stderr) or, with --validate,
+ * on an invariant violation.
  */
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,10 +45,6 @@ struct CliOptions
     int cores = 2;
     int tasksPerCore = 4;
     int channels = 1;
-    int shards = 0;
-    Tick shardEpoch = 0;  // 0 keeps the config default
-    int coreLanes = 0;
-    Tick coreEpoch = 0;   // 0 keeps the config default
     unsigned timeScale = 128;
     int warmupQuanta = 8;
     int measureQuanta = 16;
@@ -61,7 +60,7 @@ struct CliOptions
     std::string timelinePath;
     std::string statsJsonPath;
     std::string telemetryPath;
-    Tick telemetryPeriod = 0;  // 0 keeps the config default
+    Tick telemetryPeriod = 0;  // 0 (flag absent) keeps the default
     obs::TimelineOptions window;
 };
 
@@ -80,12 +79,40 @@ printJson(std::ostream &os, const core::SystemConfig &cfg,
     os << "\n}\n";
 }
 
+/** Input-contract failure: one diagnostic line, exit status 1. */
 [[noreturn]] void
-usage(const char *argv0, const std::string &error = "")
+reject(const std::string &error)
 {
-    if (!error.empty())
-        std::cerr << "error: " << error << "\n\n";
-    std::cerr
+    std::cerr << "fatal: " << error << " (see --help)\n";
+    std::exit(1);
+}
+
+/**
+ * Parse all of @p text as a number in [lo, hi], or reject().  No
+ * leading whitespace, sign games or trailing junk: "12abc", "" and
+ * "-3" for an unsigned flag are all errors, not silent values.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const char *text, T lo, T hi)
+{
+    const char *end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || ptr == text || v < lo
+        || v > hi) {
+        std::ostringstream os;
+        os << flag << " wants a number in [" << lo << ", " << hi
+           << "], got '" << text << "'";
+        reject(os.str());
+    }
+    return v;
+}
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::cout
         << "usage: " << argv0 << " [options]\n\n"
         << "workload selection (one of):\n"
         << "  --workload NAME        Table 2 workload (WL-1..WL-10)\n"
@@ -125,21 +152,7 @@ usage(const char *argv0, const std::string &error = "")
         << "  --measure N            measured quanta (default 16)\n"
         << "  --seed S               trace RNG seed\n"
         << "  --validate             run the invariant checkers; "
-           "exit 1 on any violation\n"
-        << "  --shards N             sharded event kernel: one lane "
-           "per channel,\n"
-        << "                         N phase-B workers (0 = legacy "
-           "kernel, default)\n"
-        << "  --shard-epoch PS       sharded-kernel window length "
-           "(default 15000)\n"
-        << "  --core-lanes N         core-cluster lanes: cores run "
-           "in N parallel\n"
-        << "                         clusters (clamped to cores; 0 = "
-           "off, default).\n"
-        << "                         Results are identical for every "
-           "N >= 1\n"
-        << "  --core-epoch PS        core-lane window length "
-           "(default 5000)\n\n"
+           "exit 1 on any violation\n\n"
         << "output:\n"
         << "  --dump-stats           print every registered stat\n"
         << "  --csv                  per-task table as CSV\n"
@@ -166,8 +179,12 @@ usage(const char *argv0, const std::string &error = "")
         << "  --trace-window S:E     restrict the timeline to "
            "simulated ticks [S, E)\n"
         << "                         (picoseconds; default: whole "
-           "run)\n";
-    std::exit(2);
+           "run)\n\n"
+        << "Every run is one single-threaded simulation; parallel "
+           "sweeps are the\n"
+        << "benches' --jobs.  Invalid input exits 1 with one "
+           "\"fatal:\" line.\n";
+    std::exit(0);
 }
 
 std::vector<std::string>
@@ -183,7 +200,7 @@ splitCsv(const std::string &s)
 }
 
 core::Policy
-parsePolicy(const std::string &s, const char *argv0)
+parsePolicy(const std::string &s)
 {
     for (auto p : {core::Policy::AllBank, core::Policy::PerBank,
                    core::Policy::PerBankOoo, core::Policy::Ddr4x2,
@@ -192,7 +209,7 @@ parsePolicy(const std::string &s, const char *argv0)
         if (core::toString(p) == s)
             return p;
     }
-    usage(argv0, "unknown policy: " + s);
+    reject("unknown policy: " + s);
 }
 
 CliOptions
@@ -201,8 +218,13 @@ parse(int argc, char **argv)
     CliOptions o;
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
-            usage(argv[0], std::string(argv[i]) + " needs a value");
+            reject(std::string(argv[i]) + " needs a value");
         return argv[++i];
+    };
+    // Whole-token numeric value of the current flag, in [lo, hi].
+    auto num = [&](int &i, auto lo, auto hi) {
+        const std::string flag = argv[i];
+        return parseNumber(flag, need(i), lo, hi);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -215,42 +237,34 @@ parse(int argc, char **argv)
         } else if (a == "--serving") {
             o.servingSpec = need(i);
         } else if (a == "--policy") {
-            o.policy = parsePolicy(need(i), argv[0]);
+            o.policy = parsePolicy(need(i));
         } else if (a == "--density") {
-            o.densityGb = std::atoi(need(i));
+            o.densityGb = num(i, 8, 32);
+            if (o.densityGb % 8 != 0)
+                reject("--density must be 8, 16, 24 or 32");
         } else if (a == "--retention") {
-            o.retentionMs = std::atof(need(i));
+            o.retentionMs = num(i, 1.0, 1000.0);
         } else if (a == "--cores") {
-            o.cores = std::atoi(need(i));
+            o.cores = num(i, 1, 64);
         } else if (a == "--channels") {
-            o.channels = std::atoi(need(i));
-        } else if (a == "--shards") {
-            o.shards = std::atoi(need(i));
-        } else if (a == "--shard-epoch") {
-            o.shardEpoch = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
-        } else if (a == "--core-lanes") {
-            o.coreLanes = std::atoi(need(i));
-        } else if (a == "--core-epoch") {
-            o.coreEpoch = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
+            o.channels = num(i, 1, 8);
         } else if (a == "--tasks-per-core") {
-            o.tasksPerCore = std::atoi(need(i));
+            o.tasksPerCore = num(i, 1, 64);
         } else if (a == "--banks-per-task") {
-            o.banksPerTask = std::atoi(need(i));
+            o.banksPerTask = num(i, -1, 64);
         } else if (a == "--partition") {
             o.partition = need(i);
         } else if (a == "--eta") {
-            o.etaThresh = std::atoi(need(i));
+            o.etaThresh = num(i, 1, 1 << 20);
         } else if (a == "--scale") {
-            o.timeScale = static_cast<unsigned>(std::atoi(need(i)));
+            o.timeScale = num(i, 1u, 1u << 20);
         } else if (a == "--warmup") {
-            o.warmupQuanta = std::atoi(need(i));
+            o.warmupQuanta = num(i, 0, 1 << 20);
         } else if (a == "--measure") {
-            o.measureQuanta = std::atoi(need(i));
+            o.measureQuanta = num(i, 1, 1 << 20);
         } else if (a == "--seed") {
-            o.seed = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
+            o.seed = num(i, std::uint64_t{0},
+                         std::numeric_limits<std::uint64_t>::max());
         } else if (a == "--validate") {
             o.validate = true;
         } else if (a == "--timeline") {
@@ -260,23 +274,23 @@ parse(int argc, char **argv)
         } else if (a == "--telemetry") {
             o.telemetryPath = need(i);
         } else if (a == "--telemetry-period") {
-            o.telemetryPeriod = static_cast<Tick>(
-                std::strtoull(need(i), nullptr, 10));
+            o.telemetryPeriod = num(i, Tick{1}, kMaxTick);
         } else if (a == "--trace-window") {
             const std::string w = need(i);
             const auto colon = w.find(':');
             if (colon == std::string::npos)
-                usage(argv[0], "--trace-window wants START:END");
-            o.window.windowStart = static_cast<Tick>(
-                std::strtoull(w.substr(0, colon).c_str(), nullptr,
-                              10));
+                reject("--trace-window wants START:END");
+            const std::string startStr = w.substr(0, colon);
             const std::string endStr = w.substr(colon + 1);
+            o.window.windowStart = parseNumber(
+                "--trace-window START", startStr.c_str(), Tick{0},
+                kMaxTick);
             o.window.windowEnd = endStr.empty()
                 ? kMaxTick
-                : static_cast<Tick>(
-                      std::strtoull(endStr.c_str(), nullptr, 10));
+                : parseNumber("--trace-window END", endStr.c_str(),
+                              Tick{0}, kMaxTick);
             if (o.window.windowStart >= o.window.windowEnd)
-                usage(argv[0], "--trace-window is empty");
+                reject("--trace-window is empty");
         } else if (a == "--dump-stats") {
             o.dumpStats = true;
         } else if (a == "--json") {
@@ -288,7 +302,7 @@ parse(int argc, char **argv)
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
         } else {
-            usage(argv[0], "unknown option: " + a);
+            reject("unknown option: " + a);
         }
     }
     if (o.workload.empty() && o.benchmarks.empty())
@@ -297,7 +311,7 @@ parse(int argc, char **argv)
 }
 
 core::SystemConfig
-buildConfig(const CliOptions &o, const char *argv0)
+buildConfig(const CliOptions &o)
 {
     core::SystemConfig cfg;
     cfg.numCores = o.cores;
@@ -311,12 +325,6 @@ buildConfig(const CliOptions &o, const char *argv0)
     cfg.seed = o.seed;
     cfg.validate = o.validate;
     cfg.channels = o.channels;
-    cfg.shards = o.shards;
-    if (o.shardEpoch > 0)
-        cfg.shardEpoch = o.shardEpoch;
-    cfg.coreLanes = o.coreLanes;
-    if (o.coreEpoch > 0)
-        cfg.coreLaneEpoch = o.coreEpoch;
 
     if (!o.partition.empty()) {
         if (o.partition == "soft")
@@ -326,16 +334,15 @@ buildConfig(const CliOptions &o, const char *argv0)
         else if (o.partition == "none")
             cfg.partitioning = core::Partitioning::None;
         else
-            usage(argv0, "unknown partition mode: " + o.partition);
+            reject("unknown partition mode: " + o.partition);
     }
 
     if (!o.benchmarks.empty()) {
         if (static_cast<int>(o.benchmarks.size())
             != cfg.totalTasks()) {
-            usage(argv0,
-                  "--benchmarks needs exactly cores*tasks-per-core "
-                  "entries ("
-                      + std::to_string(cfg.totalTasks()) + ")");
+            reject("--benchmarks needs exactly cores*tasks-per-core "
+                   "entries ("
+                   + std::to_string(cfg.totalTasks()) + ")");
         }
         cfg.benchmarks = o.benchmarks;
     } else {
@@ -365,7 +372,7 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Inform);
 
     try {
-        const auto cfg = buildConfig(opts, argv[0]);
+        const auto cfg = buildConfig(opts);
         core::System sys(cfg);
 
         std::unique_ptr<obs::TimelineRecorder> timeline;

@@ -57,17 +57,15 @@ scenario_smoke() {
         --stats-json "$out/scenario.stats.json" >/dev/null
 }
 
-# Telemetry samples counters from the phase-C boundary hook while
-# the run stays on real worker threads (unlike a probe, telemetry
-# does not force workers=1), then walks the string-heavy JSONL/CSV
-# exporters -- both sides are sanitizer targets.  The self-profiler
-# also arms here, timing the phase-B barrier it samples behind.
+# Telemetry samples counters from a periodic StatDump event with
+# serving traffic live, then walks the string-heavy JSONL/CSV
+# exporters -- both sides are sanitizer targets.
 telemetry_smoke() {
     local dir="$1" out="$1/telemetry-smoke"
     mkdir -p "$out"
-    echo "--- ${dir}: --telemetry sampled export (threaded kernel) ---"
+    echo "--- ${dir}: --telemetry sampled export (serving on) ---"
     "./$dir/tools/refsched_cli" --policy co-design --workload WL-5 \
-        --scale 1024 --channels 2 --shards 2 --core-lanes 2 \
+        --scale 1024 --channels 2 \
         --warmup 1 --measure 8 --seed 7 \
         --serving "arrival=mmpp,load=0.4,pool=4,queue=16,lines=4" \
         --telemetry "$out/telemetry.jsonl" \
@@ -78,11 +76,10 @@ telemetry_smoke() {
 }
 
 # The open-loop serving injector shares slot/backlog state between
-# the main-lane arrival path and per-line completions delivered from
-# channel lanes, and its per-line blocked flags are written by the
-# controller -- pointer-lifetime and (under the threaded kernel)
-# data-race territory the sanitizers own.  Overload parameters keep
-# the drop and retry paths hot.
+# the arrival path and per-line completions, and its per-line
+# blocked flags are written by the controller -- pointer-lifetime
+# territory the sanitizers own.  Overload parameters keep the drop
+# and retry paths hot.
 serving_smoke() {
     local dir="$1" out="$1/serving-smoke"
     mkdir -p "$out"
@@ -103,7 +100,7 @@ echo "=== asan: scenario engine (churn + page migration) ==="
 scenario_smoke build-asan
 echo "=== asan: open-loop serving (drops + retry paths) ==="
 serving_smoke build-asan
-echo "=== asan: sampled telemetry (boundary-hook sampling + exports) ==="
+echo "=== asan: sampled telemetry (periodic sampling + exports) ==="
 telemetry_smoke build-asan
 echo "=== asan: differential fuzz (corpus replay + short random run) ==="
 # The randomized samples drive every refresh policy through configs
@@ -113,67 +110,13 @@ echo "=== asan: differential fuzz (corpus replay + short random run) ==="
     --samples 25 --seed 7 --shrink-budget 0
 
 run_pass tsan thread
-echo "=== tsan: parallel-runner + sharded-kernel determinism suites ==="
-# ShardIdentityTest runs the channel lanes on real worker threads
-# (no probe attached) and asserts bit-identity with the sequential
-# run -- the primary TSan target for the sharded kernel.
+echo "=== tsan: parallel-runner determinism suites ==="
+# ParallelRunner is the only multi-threaded code: these suites run
+# whole grids on worker threads and assert bit-identity with the
+# sequential run.
 ctest --test-dir build-tsan --output-on-failure \
-    -R 'ParallelRunner|GoldenTraceJobs|ShardIdentity|ScenarioIntegration'
-echo "=== tsan: sharded CLI run (real worker threads) ==="
-# No --timeline here: attaching a probe forces workers=1, and the
-# point of this pass is the threaded phase-B path.
-mkdir -p build-tsan/shard-smoke
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --channels 2 --shards 2 --warmup 1 --measure 4 --seed 7 \
-    --stats-json build-tsan/shard-smoke/sh2.stats.json >/dev/null
-echo "=== tsan: core-lane CLI run (cluster lanes on worker threads) ==="
-# Core-cluster lanes put every core's issue loop and L1 on its own
-# worker thread concurrently with the channel lanes -- the widest
-# threaded surface in the kernel.  Stats-only for the same reason as
-# above: a probe would force workers=1.
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --channels 2 --shards 2 --core-lanes 2 --warmup 1 --measure 4 \
-    --seed 7 \
-    --stats-json build-tsan/shard-smoke/cl2.stats.json >/dev/null
-echo "=== tsan: core-lane scenario run (churn crossing clusters) ==="
-# Churn + migration while cluster lanes run: spawns/kills re-home
-# tasks across clusters at quantum boundaries, and migration copy
-# traffic crosses the per-core staging boxes.
-./build-tsan/tools/refsched_cli --policy co-design \
-    --benchmarks GemsFDTD,stream,GemsFDTD,npb_ua --cores 2 \
-    --density 32 --scale 1024 --channels 2 --core-lanes 2 \
-    --warmup 0 --measure 24 --seed 1 \
-    --scenario tests/validate/data/adversarial_colocation.scenario \
-    --validate \
-    --stats-json build-tsan/shard-smoke/cl-scenario.stats.json \
-    >/dev/null
-echo "=== tsan: sharded scenario run (migration on worker threads) ==="
-# Migration copy completions route through the sharded kernel's main
-# lane; churn while phase-B workers drain the channel lanes is the
-# adversarial interleaving for the director's bookkeeping.
-./build-tsan/tools/refsched_cli --policy co-design \
-    --benchmarks GemsFDTD,stream,GemsFDTD,npb_ua --cores 1 \
-    --density 32 --scale 1024 --channels 2 --shards 2 \
-    --warmup 0 --measure 24 --seed 1 \
-    --scenario tests/validate/data/adversarial_colocation.scenario \
-    --validate \
-    --stats-json build-tsan/shard-smoke/scenario.stats.json >/dev/null
-echo "=== tsan: serving on the partitioned kernel (worker threads) ==="
-# Serving arrivals stage on the main lane while channel lanes
-# complete the per-line reads and write the per-line blocked flags
-# concurrently -- the exact cross-lane surface the flat byte array
-# exists for.  Stats-only (a probe would force workers=1).
-./build-tsan/tools/refsched_cli --policy co-design --workload WL-5 \
-    --scale 1024 --channels 2 --shards 2 --core-lanes 2 \
-    --warmup 0 --measure 24 --seed 7 \
-    --serving "arrival=mmpp,load=1.6,pool=8,queue=64,lines=4" \
-    --stats-json build-tsan/shard-smoke/serving.stats.json >/dev/null
-echo "=== tsan: telemetry on the threaded kernel (boundary sampling) ==="
-# Telemetry is the one observability consumer that keeps phase-B
-# workers threaded: the boundary hook reads channel/core counters
-# that worker threads wrote moments earlier, and the self-profiler
-# reads worker finish stamps across the barrier -- both are ordering
-# claims TSan can falsify.
+    -R 'ParallelRunner|GoldenTraceJobs|ScenarioIntegration|TelemetryIdentity'
+echo "=== tsan: sampled telemetry (periodic sampling + exports) ==="
 telemetry_smoke build-tsan
 echo "=== tsan: scenario engine (churn + page migration) ==="
 scenario_smoke build-tsan

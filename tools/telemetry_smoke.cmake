@@ -1,15 +1,9 @@
 # ctest driver for the sampled-telemetry subsystem: run the same
-# 2-channel co-design cell with --telemetry across the shard counts
-# of both timing groups and assert
+# 2-channel co-design cell with --telemetry twice and assert
 #
-#   identity     the telemetry JSONL is byte-identical for shards
-#                1 vs 2 at core-lanes 0, and again at core-lanes 2
-#                (the two groups are distinct timing modes and are
-#                NOT compared against each other)
+#   identity     the telemetry JSONL is byte-identical run to run
 #   timeline     the merged counter tracks pass timeline_check's
 #                schema + counter validation with samples present
-#   self-profile the stats JSON carries the kernel self-profiler
-#                (windows / parallelMs / imbalance) for sharded runs
 #   csv          the ".csv" spelling of --telemetry produces a
 #                header + data rows
 #
@@ -25,43 +19,35 @@ endforeach()
 
 file(MAKE_DIRECTORY "${OUT}")
 
-foreach(lanes 0 2)
-    foreach(shards 1 2)
-        set(tag "l${lanes}sh${shards}")
-        execute_process(
-            COMMAND "${CLI}" --policy co-design --workload WL-5
-                --channels 2 --shards ${shards} --core-lanes ${lanes}
-                --warmup 2 --measure 8 --seed 7
-                --telemetry "${OUT}/${tag}.telemetry.jsonl"
-                --timeline "${OUT}/${tag}.timeline.json"
-                --stats-json "${OUT}/${tag}.stats.json"
-            RESULT_VARIABLE rc
-            OUTPUT_QUIET)
-        if(NOT rc EQUAL 0)
-            message(FATAL_ERROR
-                "refsched_cli --telemetry ${tag} failed (rc=${rc})")
-        endif()
-    endforeach()
+foreach(run 1 2)
+    execute_process(
+        COMMAND "${CLI}" --policy co-design --workload WL-5
+            --channels 2 --warmup 2 --measure 8 --seed 7
+            --telemetry "${OUT}/run${run}.telemetry.jsonl"
+            --timeline "${OUT}/run${run}.timeline.json"
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+            "refsched_cli --telemetry run ${run} failed (rc=${rc})")
+    endif()
 endforeach()
 
-# Byte-identity within each timing group.
-foreach(lanes 0 2)
-    file(READ "${OUT}/l${lanes}sh1.telemetry.jsonl" tel1)
-    file(READ "${OUT}/l${lanes}sh2.telemetry.jsonl" tel2)
-    if(NOT tel1 STREQUAL tel2)
-        message(FATAL_ERROR
-            "telemetry diverges: lanes=${lanes} shards=1 vs 2")
-    endif()
-    string(LENGTH "${tel1}" tel_len)
-    if(tel_len LESS 500)
-        message(FATAL_ERROR
-            "telemetry export suspiciously small (${tel_len} B)")
-    endif()
-endforeach()
+# Byte-identity run to run.
+file(READ "${OUT}/run1.telemetry.jsonl" tel1)
+file(READ "${OUT}/run2.telemetry.jsonl" tel2)
+if(NOT tel1 STREQUAL tel2)
+    message(FATAL_ERROR "telemetry diverges between identical runs")
+endif()
+string(LENGTH "${tel1}" tel_len)
+if(tel_len LESS 500)
+    message(FATAL_ERROR
+        "telemetry export suspiciously small (${tel_len} B)")
+endif()
 
 # The merged counter tracks must validate, and samples must be there.
 execute_process(
-    COMMAND "${CHECK}" "${OUT}/l0sh1.timeline.json"
+    COMMAND "${CHECK}" "${OUT}/run1.timeline.json"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE check_out)
 if(NOT rc EQUAL 0)
@@ -75,23 +61,11 @@ if(NOT check_out MATCHES "counter samples")
         "timeline_check did not report counters: ${check_out}")
 endif()
 
-# Kernel self-profiler rides along whenever telemetry runs sharded.
-file(READ "${OUT}/l0sh2.stats.json" stats)
-foreach(key "\"windows\"" "\"parallelMs\"" "\"imbalance\"")
-    if(NOT stats MATCHES "${key}")
-        message(FATAL_ERROR
-            "stats JSON missing kernel self-profile key ${key}")
-    endif()
-endforeach()
-
-# CSV spelling; no timeline here, so phase B stays on real worker
-# threads and the profiler must report the barrier-wait arrays.
+# CSV spelling.
 execute_process(
     COMMAND "${CLI}" --policy co-design --workload WL-5
-        --channels 2 --shards 2
-        --warmup 2 --measure 4 --seed 7
+        --channels 2 --warmup 2 --measure 4 --seed 7
         --telemetry "${OUT}/export.csv"
-        --stats-json "${OUT}/threaded.stats.json"
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -105,15 +79,4 @@ string(REGEX MATCHALL "\n" csv_newlines "${csv}")
 list(LENGTH csv_newlines csv_rows)
 if(csv_rows LESS 3)
     message(FATAL_ERROR "telemetry CSV has no data rows (${csv_rows})")
-endif()
-
-# Threaded runs must bill the phase-B barrier: a non-empty
-# per-worker wait array and a non-zero barrier count.
-file(READ "${OUT}/threaded.stats.json" tstats)
-if(NOT tstats MATCHES "\"workerWaitMs\": \\[[0-9]")
-    message(FATAL_ERROR
-        "threaded self-profile missing per-worker barrier waits")
-endif()
-if(tstats MATCHES "\"barriers\": 0,")
-    message(FATAL_ERROR "threaded run recorded zero barriers")
 endif()
