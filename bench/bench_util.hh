@@ -2,17 +2,12 @@
  * @file
  * Shared plumbing for the figure-reproduction benches.
  *
- * Every bench accepts:
- *   --full        run all ten Table 2 workloads (default: a
- *                 representative five covering H/M/L classes)
- *   --scale N     ratio-preserving timeScale (default 128)
- *   --csv         emit CSV instead of an aligned table
- *   --jobs N      worker threads for the experiment grid (default:
- *                 all hardware threads; 1 = sequential)
- *   --warmup Q    warm-up quanta before the statistics reset
- *   --measure Q   measured quanta
- *   --json FILE   additionally archive every emitted table as JSON
- *                 (e.g. BENCH_fig10.json, for the perf trajectory)
+ * Every bench takes the flags usage() lists (--help prints them) and
+ * follows refsched_cli's input contract: numbers go through
+ * simcore/parse.hh, ranges through the model's check() functions,
+ * and a malformed number, an unknown flag or a rejected value
+ * (--scale 3, --measure 0, --jobs -1) prints one "fatal:" line on
+ * stderr and exits 1 before any output.
  *
  * Runs are deterministic; the same invocation always reproduces the
  * same numbers, regardless of --jobs (each cell is an independent
@@ -29,10 +24,8 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,8 +34,8 @@
 #include "core/parallel_runner.hh"
 #include "core/report.hh"
 #include "core/system.hh"
-#include "obs/timeline.hh"
-#include "simcore/logging.hh"
+#include "obs/json.hh"
+#include "simcore/parse.hh"
 #include "workload/workloads.hh"
 
 namespace refsched::bench
@@ -95,12 +88,12 @@ struct JsonArchive
             std::cerr << "cannot write " << path << "\n";
             return;
         }
-        os << "{\n  \"bench\": \"" << escape(bench) << "\",\n"
+        os << "{\n  \"bench\": \"" << obs::jsonEscape(bench) << "\",\n"
            << "  \"options\": " << options << ",\n"
            << "  \"tables\": [\n";
         for (std::size_t t = 0; t < tables.size(); ++t) {
             const auto &[label, table] = tables[t];
-            os << "    {\"label\": \"" << escape(label)
+            os << "    {\"label\": \"" << obs::jsonEscape(label)
                << "\", \"headers\": ";
             writeRow(os, table.headers());
             os << ", \"rows\": [";
@@ -115,23 +108,6 @@ struct JsonArchive
         os << "  ]\n}\n";
     }
 
-    static std::string
-    escape(const std::string &s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        for (char ch : s) {
-            if (ch == '"' || ch == '\\')
-                out += '\\';
-            if (ch == '\n') {
-                out += "\\n";
-                continue;
-            }
-            out += ch;
-        }
-        return out;
-    }
-
     static void
     writeRow(std::ostream &os, const std::vector<std::string> &cells)
     {
@@ -139,7 +115,7 @@ struct JsonArchive
         for (std::size_t i = 0; i < cells.size(); ++i) {
             if (i > 0)
                 os << ", ";
-            os << "\"" << escape(cells[i]) << "\"";
+            os << "\"" << obs::jsonEscape(cells[i]) << "\"";
         }
         os << "]";
     }
@@ -154,10 +130,18 @@ jsonArchive()
 
 } // namespace detail
 
+/** The front-end contract: one "fatal:" line on stderr, exit 1. */
+[[noreturn]] inline void
+exitFatal(const FatalError &e)
+{
+    std::cerr << "fatal: " << e.what() << "\n";
+    std::exit(1);
+}
+
 [[noreturn]] inline void
 usage(const char *argv0)
 {
-    std::cerr
+    std::cout
         << "usage: " << argv0
         << " [--full] [--csv] [--scale N] [--jobs N]"
            " [--warmup Q] [--measure Q] [--json FILE] [--validate]\n"
@@ -183,7 +167,7 @@ usage(const char *argv0)
            "  --telemetry-prefix P  sample telemetry per grid cell"
            " and write the\n"
            "               time-series JSONL to P.cellN.jsonl\n";
-    std::exit(2);
+    std::exit(0);
 }
 
 inline BenchOptions
@@ -192,53 +176,48 @@ parseArgs(int argc, char **argv)
     BenchOptions opts;
     opts.benchName = argc > 0 ? argv[0] : "bench";
 
-    auto intArg = [&](int &i) {
-        if (i + 1 >= argc)
-            usage(argv[0]);
-        return std::atoi(argv[++i]);
+    auto need = [&](int &i) { return flagValue(argc, argv, i); };
+    auto num = [&](int &i, auto &field) {
+        parseFlag(argc, argv, i, field);
     };
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--full") == 0) {
-            opts.full = true;
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            opts.csv = true;
-        } else if (std::strcmp(argv[i], "--scale") == 0) {
-            opts.timeScale = static_cast<unsigned>(intArg(i));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opts.jobs = intArg(i);
-        } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            opts.warmupQuanta = intArg(i);
-        } else if (std::strcmp(argv[i], "--measure") == 0) {
-            opts.measureQuanta = intArg(i);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            if (i + 1 >= argc)
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string a = argv[i];
+            if (a == "--full")
+                opts.full = true;
+            else if (a == "--csv")
+                opts.csv = true;
+            else if (a == "--scale")
+                num(i, opts.timeScale);
+            else if (a == "--jobs")
+                num(i, opts.jobs);
+            else if (a == "--warmup")
+                num(i, opts.warmupQuanta);
+            else if (a == "--measure")
+                num(i, opts.measureQuanta);
+            else if (a == "--json")
+                opts.jsonPath = need(i);
+            else if (a == "--validate")
+                opts.validate = true;
+            else if (a == "--timeline-prefix")
+                opts.timelinePrefix = need(i);
+            else if (a == "--stats-json-prefix")
+                opts.statsJsonPrefix = need(i);
+            else if (a == "--telemetry-prefix")
+                opts.telemetryPrefix = need(i);
+            else if (a == "--help" || a == "-h")
                 usage(argv[0]);
-            opts.jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--validate") == 0) {
-            opts.validate = true;
-        } else if (std::strcmp(argv[i], "--timeline-prefix") == 0) {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opts.timelinePrefix = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-json-prefix") == 0) {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opts.statsJsonPrefix = argv[++i];
-        } else if (std::strcmp(argv[i], "--telemetry-prefix") == 0) {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opts.telemetryPrefix = argv[++i];
-        } else {
-            usage(argv[0]);
+            else
+                fatal("unknown option: ", a, " (see --help)");
         }
-    }
-
-    // Reject values the simulator would only panic on later.
-    if (opts.timeScale < 1 || opts.warmupQuanta < 0
-        || opts.measureQuanta < 1) {
-        std::cerr << "invalid --scale/--warmup/--measure value\n";
-        usage(argv[0]);
+        // Ranges belong to the model's checks; run them before any
+        // output so a bad value stops the bench up front.
+        dram::checkTimeScale(opts.timeScale);
+        core::RunOptions{opts.warmupQuanta, opts.measureQuanta}.check();
+        core::ParallelRunner{opts.jobs};
+    } catch (const FatalError &e) {
+        exitFatal(e);
     }
 
     if (!opts.jsonPath.empty()) {
@@ -297,50 +276,26 @@ class GridRunner
         cfg.validate = opts_.validate;
 
         // With per-cell observability artifacts requested, wrap the
-        // cell in a thunk that attaches a timeline recorder and/or
-        // enables sampled telemetry, and writes one artifact per
-        // cell.  The simulation itself is unchanged (probes and
-        // samplers observe, never steer), so results stay
-        // byte-identical to the plain path and across --jobs.
+        // cell in a thunk that writes one set of artifacts per cell.
+        // The simulation itself is unchanged (probes and samplers
+        // observe, never steer), so results stay byte-identical to
+        // the plain path and across --jobs.
         if (!opts_.timelinePrefix.empty()
             || !opts_.statsJsonPrefix.empty()
             || !opts_.telemetryPrefix.empty()) {
-            const std::size_t idx = cells_.size();
-            const auto run = runOptions();
-            const std::string tlPrefix = opts_.timelinePrefix;
-            const std::string sjPrefix = opts_.statsJsonPrefix;
-            const std::string telPrefix = opts_.telemetryPrefix;
-            if (!telPrefix.empty())
+            const std::string cell = ".cell" + std::to_string(size());
+            core::RunArtifacts out;
+            if (!opts_.timelinePrefix.empty())
+                out.timeline = opts_.timelinePrefix + cell + ".json";
+            if (!opts_.statsJsonPrefix.empty())
+                out.statsJson = opts_.statsJsonPrefix + cell + ".json";
+            if (!opts_.telemetryPrefix.empty())
+                out.telemetry = opts_.telemetryPrefix + cell + ".jsonl";
+            if (!out.telemetry.empty())
                 cfg.telemetry.enabled = true;
-            return add([cfg = std::move(cfg), run, tlPrefix, sjPrefix,
-                        telPrefix, idx]() {
+            return add([cfg = std::move(cfg), run = runOptions(), out] {
                 core::System sys(cfg);
-                std::unique_ptr<obs::TimelineRecorder> tl;
-                if (!tlPrefix.empty()) {
-                    tl = std::make_unique<obs::TimelineRecorder>(
-                        sys.controller().config().org, cfg.numCores);
-                    sys.attachProbe(tl.get());
-                }
-                const auto m = sys.run(run.warmupQuanta,
-                                       run.measureQuanta);
-                const std::string cell =
-                    ".cell" + std::to_string(idx) + ".json";
-                if (!telPrefix.empty()) {
-                    sys.telemetry()->writeFile(telPrefix + ".cell"
-                                               + std::to_string(idx)
-                                               + ".jsonl");
-                    if (tl)
-                        sys.telemetry()->exportCounters(*tl);
-                }
-                if (tl)
-                    tl->writeFile(tlPrefix + cell);
-                if (!sjPrefix.empty()) {
-                    std::ofstream f(sjPrefix + cell);
-                    if (!f)
-                        fatal("cannot write ", sjPrefix + cell);
-                    sys.writeStatsJson(f, m);
-                }
-                return m;
+                return core::runWithArtifacts(sys, run, out);
             });
         }
 
@@ -365,18 +320,19 @@ class GridRunner
     core::RunOptions
     runOptions() const
     {
-        core::RunOptions run;
-        run.warmupQuanta = opts_.warmupQuanta;
-        run.measureQuanta = opts_.measureQuanta;
-        return run;
+        return {opts_.warmupQuanta, opts_.measureQuanta};
     }
 
     /** Run every queued cell across --jobs workers. */
     void
     run()
     {
-        results_ =
-            core::ParallelRunner(opts_.jobs).runCells(cells_);
+        try {
+            results_ =
+                core::ParallelRunner(opts_.jobs).runCells(cells_);
+        } catch (const FatalError &e) {
+            exitFatal(e);  // e.g. an unwritable artifact path
+        }
         ran_ = true;
         if (opts_.validate)
             reportValidation();

@@ -144,9 +144,8 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
 // a previous run and diff events / wall-clock.
 // ---------------------------------------------------------------
 
-/** Row cells of the "perf_smoke" table in an archived JSON file.
- *  The archive format is ours (bench_util JsonArchive): every cell
- *  is a quoted string, rows are arrays of cells. */
+/** Row cells of the "perf_smoke" table in a JSON archive written by
+ *  bench_util's JsonArchive (every cell is a string). */
 std::vector<std::vector<std::string>>
 readBaselineRows(const std::string &path)
 {
@@ -155,45 +154,23 @@ readBaselineRows(const std::string &path)
         fatal("cannot read baseline file: ", path);
     std::stringstream ss;
     ss << is.rdbuf();
-    const std::string text = ss.str();
-
-    const auto label = text.find("\"label\": \"perf_smoke\"");
-    if (label == std::string::npos)
-        fatal(path, ": no perf_smoke table in archive");
-    const auto rowsKey = text.find("\"rows\": [", label);
-    if (rowsKey == std::string::npos)
-        fatal(path, ": malformed archive (no rows)");
-
-    std::vector<std::vector<std::string>> rows;
-    std::size_t i = rowsKey + 9;
-    int depth = 1;  // inside the rows [...] array
-    std::vector<std::string> cur;
-    while (i < text.size() && depth > 0) {
-        const char ch = text[i];
-        if (ch == '[') {
-            ++depth;
-            cur.clear();
-            ++i;
-        } else if (ch == ']') {
-            --depth;
-            if (depth == 1 && !cur.empty())
-                rows.push_back(cur);
-            ++i;
-        } else if (ch == '"') {
-            std::string cell;
-            ++i;
-            while (i < text.size() && text[i] != '"') {
-                if (text[i] == '\\' && i + 1 < text.size())
-                    ++i;
-                cell += text[i++];
+    const auto doc = obs::parseJson(ss.str());
+    if (const auto *tables = doc.find("tables")) {
+        for (const auto &table : tables->array) {
+            const auto *label = table.find("label");
+            const auto *rows = table.find("rows");
+            if (!label || label->string != "perf_smoke" || !rows)
+                continue;
+            std::vector<std::vector<std::string>> out;
+            for (const auto &row : rows->array) {
+                out.emplace_back();
+                for (const auto &cell : row.array)
+                    out.back().push_back(cell.string);
             }
-            ++i;  // closing quote
-            cur.push_back(cell);
-        } else {
-            ++i;
+            return out;
         }
     }
-    return rows;
+    fatal(path, ": no perf_smoke table in archive");
 }
 
 int
@@ -218,11 +195,13 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
             ok = false;
             continue;
         }
-        const std::uint64_t baseEvents =
-            std::strtoull((*base)[4].c_str(), nullptr, 10);
-        const double baseWall = std::atof((*base)[3].c_str());
+        const auto baseEvents =
+            parseNumber<std::uint64_t>((*base)[4], "baseline events");
+        const auto baseWall =
+            parseNumber<double>((*base)[3], "baseline wallMs");
         const std::string &baseEpq = (*base)[5];
-        const double baseMticks = std::atof((*base)[6].c_str());
+        const auto baseMticks =
+            parseNumber<double>((*base)[6], "baseline Mticks/s");
 
         if (r.events != baseEvents) {
             std::cerr << r.name << ": events REGRESSED: " << r.events
@@ -281,7 +260,7 @@ checkAgainstBaseline(const std::vector<SmokeResult> &now,
 
 int
 main(int argc, char **argv)
-{
+try {
     // Strip the regression-mode flags before the shared parser sees
     // the command line.
     std::string checkPath;
@@ -293,7 +272,7 @@ main(int argc, char **argv)
         if (i > 0 && a == "--check" && i + 1 < argc) {
             checkPath = argv[++i];
         } else if (i > 0 && a == "--wall-tol" && i + 1 < argc) {
-            wallTolPct = std::atof(argv[++i]);
+            wallTolPct = parseNumber<double>(argv[++i], "--wall-tol");
         } else if (i > 0 && a == "--events-only") {
             eventsOnly = true;
         } else {
@@ -353,4 +332,6 @@ main(int argc, char **argv)
         return checkAgainstBaseline(results, checkPath, wallTolPct,
                                     eventsOnly);
     return 0;
+} catch (const FatalError &e) {
+    exitFatal(e);
 }

@@ -13,9 +13,12 @@
 
 #include "core/metrics.hh"
 #include "core/system_config.hh"
+#include "obs/timeline.hh"
 
 namespace refsched::core
 {
+
+class System;
 
 struct RunOptions
 {
@@ -24,6 +27,19 @@ struct RunOptions
     /** Measured quanta; 16 covers one full refresh-slot rotation of
      *  a 2-rank x 8-bank channel. */
     int measureQuanta = 16;
+
+    /** fatal() unless warm-up is 0..2^20 quanta and the measured
+     *  interval 1..2^20 quanta; System::run calls it. */
+    void check() const;
+};
+
+/** Per-run artifact paths; an empty path skips that artifact. */
+struct RunArtifacts
+{
+    std::string timeline;         ///< Chrome trace-event timeline
+    obs::TimelineOptions window;  ///< simulated ticks the timeline keeps
+    std::string statsJson;        ///< metrics, self-profile, all stats
+    std::string telemetry;  ///< needs cfg.telemetry.enabled
 };
 
 /**
@@ -45,6 +61,14 @@ SystemConfig makeConfig(const std::string &workloadName, Policy policy,
 
 /** Construct a System from @p cfg and run it once. */
 Metrics runOnce(const SystemConfig &cfg, const RunOptions &opts = {});
+
+/**
+ * Run @p sys under @p opts with a timeline recorder attached when
+ * @p out asks for one, then write every requested artifact.  The
+ * recorder only observes, so the metrics equal a plain run's.
+ */
+Metrics runWithArtifacts(System &sys, const RunOptions &opts,
+                         const RunArtifacts &out);
 
 } // namespace refsched::core
 

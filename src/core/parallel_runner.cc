@@ -4,12 +4,17 @@
 #include <mutex>
 #include <thread>
 
+#include "simcore/logging.hh"
+
 namespace refsched::core
 {
 
 ParallelRunner::ParallelRunner(int jobs)
 {
-    if (jobs <= 0)
+    if (jobs < 0)
+        fatal("jobs must be >= 0 (0 = all hardware threads), got ",
+              jobs);
+    if (jobs == 0)
         jobs = static_cast<int>(std::thread::hardware_concurrency());
     jobs_ = jobs > 0 ? jobs : 1;
 }

@@ -51,7 +51,8 @@ struct CellSpec
 class ParallelRunner
 {
   public:
-    /** @p jobs worker threads; <= 0 selects hardware_concurrency. */
+    /** @p jobs worker threads; 0 selects hardware_concurrency and a
+     *  negative count is fatal() -- the one place --jobs is checked. */
     explicit ParallelRunner(int jobs = 0);
 
     /** Effective worker count. */

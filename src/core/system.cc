@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "core/experiment.hh"
 #include "simcore/logging.hh"
 #include "validate/checker.hh"
 #include "validate/os_auditor.hh"
@@ -560,7 +561,7 @@ Metrics
 System::run(int warmupQuanta, int measureQuanta)
 {
     REFSCHED_ASSERT(!ran_, "System::run may only be called once");
-    REFSCHED_ASSERT(measureQuanta > 0, "need a measurement interval");
+    RunOptions{warmupQuanta, measureQuanta}.check();
     ran_ = true;
 
     const Tick q = cfg_.effectiveQuantum();

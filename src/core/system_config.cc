@@ -31,6 +31,16 @@ toString(Policy p)
     return "unknown";
 }
 
+Policy
+policyFromString(const std::string &name)
+{
+    for (int i = 0; i <= static_cast<int>(Policy::NoRefresh); ++i) {
+        if (toString(static_cast<Policy>(i)) == name)
+            return static_cast<Policy>(i);
+    }
+    fatal("unknown policy: ", name);
+}
+
 void
 SystemConfig::applyPolicy(Policy p)
 {
@@ -119,8 +129,18 @@ SystemConfig::effectiveBanksPerTask() const
 void
 SystemConfig::check() const
 {
-    if (numCores < 1 || tasksPerCore < 1)
-        fatal("need at least one core and one task per core");
+    if (numCores < 1 || numCores > 64)
+        fatal("need 1..64 cores, got ", numCores);
+    if (tasksPerCore < 1 || tasksPerCore > 64)
+        fatal("need 1..64 tasks per core, got ", tasksPerCore);
+    if (channels < 1 || channels > 8)
+        fatal("need 1..8 memory channels, got ", channels);
+    if (tREFW < milliseconds(1.0) || tREFW > milliseconds(1000.0))
+        fatal("retention window must be 1..1000 ms, got ",
+              static_cast<double>(tREFW) / kPsPerMs, " ms");
+    if (banksPerTaskPerRank < -1 || banksPerTaskPerRank > 64)
+        fatal("banks per task must be -1 (the paper's rule) or 0..64, "
+              "got ", banksPerTaskPerRank);
     if (!benchmarks.empty()
         && static_cast<int>(benchmarks.size()) != totalTasks()) {
         fatal("benchmark list size ", benchmarks.size(),
@@ -135,8 +155,8 @@ SystemConfig::check() const
         fatal("refresh-aware scheduling requires the co-design "
               "refresh schedule");
     }
-    if (etaThresh < 1)
-        fatal("etaThresh must be >= 1");
+    if (etaThresh < 1 || etaThresh > (1 << 20))
+        fatal("etaThresh must be 1..", 1 << 20, ", got ", etaThresh);
     serving.check();
     telemetry.check();
 }

@@ -50,6 +50,9 @@ enum class Policy
 
 std::string toString(Policy p);
 
+/** Inverse of toString(Policy); fatal() on an unknown name. */
+Policy policyFromString(const std::string &name);
+
 /** How task data is confined to banks. */
 enum class Partitioning
 {
@@ -175,7 +178,9 @@ struct SystemConfig
         return channels * ranksPerChannel * banksPerRank;
     }
 
-    /** Validate; fatal() on inconsistencies. */
+    /** The gate for model ranges (System's constructor calls it):
+     *  fatal() outside the modelled space.  Density and timeScale
+     *  are checked by dram::makeDdr3_1600. */
     void check() const;
 };
 

@@ -73,7 +73,7 @@ tRfcAbNs(DensityGb density)
       case DensityGb::d32:
         return 890.0;
     }
-    fatal("unknown density");
+    fatal("density must be 8, 16, 24 or 32 Gb");
 }
 
 std::uint64_t
@@ -89,22 +89,29 @@ rowsPerBankFor(DensityGb density)
       case DensityGb::d32:
         return 512 * 1024;
     }
-    fatal("unknown density");
+    fatal("density must be 8, 16, 24 or 32 Gb");
 }
 
-DramDeviceConfig
-makeDdr3_1600(DensityGb density, Tick tREFW, unsigned timeScale,
-              FgrMode fgr)
+constexpr std::uint64_t kJedecRefreshCommands = 8192;
+
+void
+checkTimeScale(unsigned timeScale)
 {
     if (timeScale == 0)
         fatal("timeScale must be >= 1");
     if (!isPowerOfTwo(timeScale))
         fatal("timeScale must be a power of two to keep rows/bank a "
               "power of two, got ", timeScale);
-    constexpr std::uint64_t kJedecRefreshCommands = 8192;
     if (timeScale > kJedecRefreshCommands)
         fatal("timeScale too large: fewer than one refresh command "
               "per window");
+}
+
+DramDeviceConfig
+makeDdr3_1600(DensityGb density, Tick tREFW, unsigned timeScale,
+              FgrMode fgr)
+{
+    checkTimeScale(timeScale);
 
     DramDeviceConfig cfg;
     cfg.density = density;

@@ -163,6 +163,10 @@ double tRfcAbNs(DensityGb density);
 /** Unscaled rows per bank for a given density (Table 1). */
 std::uint64_t rowsPerBankFor(DensityGb density);
 
+/** fatal() unless @p timeScale is a ratio-preserving shrink factor:
+ *  a power of two that leaves at least one refresh per window. */
+void checkTimeScale(unsigned timeScale);
+
 /**
  * Build a DDR3-1600-style configuration per Table 1.
  *

@@ -1,10 +1,11 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 #include "simcore/logging.hh"
+#include "simcore/parse.hh"
 
 namespace refsched::obs
 {
@@ -262,10 +263,11 @@ class Parser
             case 'u': {
                 if (pos_ + 4 > text_.size())
                     fail("truncated \\u escape");
-                const std::string hex = text_.substr(pos_, 4);
+                unsigned code = 0;
+                const char *hex = text_.data() + pos_;
+                if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
+                    fail("bad \\u escape");
                 pos_ += 4;
-                const auto code = static_cast<unsigned>(
-                    std::strtoul(hex.c_str(), nullptr, 16));
                 // Exporters only emit \u00xx control escapes; encode
                 // the BMP code point as UTF-8 without surrogate
                 // handling (sufficient for validation).
@@ -293,38 +295,15 @@ class Parser
     {
         skipWs();
         const std::size_t start = pos_;
-        if (pos_ < text_.size()
-            && (text_[pos_] == '-' || text_[pos_] == '+'))
+        while (pos_ < text_.size()
+               && std::string_view("+-.0123456789eE").find(text_[pos_])
+                   != std::string_view::npos)
             ++pos_;
-        bool any = false;
-        auto digits = [&] {
-            while (pos_ < text_.size()
-                   && std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                any = true;
-            }
-        };
-        digits();
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            digits();
-        }
-        if (pos_ < text_.size()
-            && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size()
-                && (text_[pos_] == '-' || text_[pos_] == '+'))
-                ++pos_;
-            digits();
-        }
-        if (!any)
-            fail("malformed number");
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        v.number =
-            std::strtod(text_.substr(start, pos_ - start).c_str(),
-                        nullptr);
+        v.number = parseNumber<double>(
+            std::string_view(text_).substr(start, pos_ - start),
+            "JSON number");
         return v;
     }
 

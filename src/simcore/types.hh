@@ -51,10 +51,16 @@ microseconds(double us)
     return static_cast<Tick>(us * static_cast<double>(kPsPerUs));
 }
 
+/** Saturates at 0 and kMaxTick, so a wild input (a negative or huge
+ *  retention) reaches SystemConfig::check() as an out-of-range tick
+ *  count instead of an undefined conversion. */
 constexpr Tick
 milliseconds(double ms)
 {
-    return static_cast<Tick>(ms * static_cast<double>(kPsPerMs));
+    const double ps = ms * static_cast<double>(kPsPerMs);
+    if (!(ps > 0.0))
+        return 0;
+    return ps < 0x1p64 ? static_cast<Tick>(ps) : kMaxTick;
 }
 
 /** Size helpers. */

@@ -4,29 +4,13 @@
 #include <sstream>
 
 #include "simcore/logging.hh"
+#include "simcore/parse.hh"
 #include "workload/workloads.hh"
 
 namespace refsched::validate::fuzz
 {
 namespace
 {
-
-dram::DensityGb
-densityFromGb(int gb)
-{
-    switch (gb) {
-      case 8:
-        return dram::DensityGb::d8;
-      case 16:
-        return dram::DensityGb::d16;
-      case 24:
-        return dram::DensityGb::d24;
-      case 32:
-        return dram::DensityGb::d32;
-      default:
-        fatal("unsupported density_gb: ", gb);
-    }
-}
 
 std::string
 joinBenchmarks(const std::vector<std::string> &names)
@@ -38,19 +22,6 @@ joinBenchmarks(const std::vector<std::string> &names)
         out += names[i];
     }
     return out;
-}
-
-std::vector<std::string>
-splitBenchmarks(const std::string &csv)
-{
-    std::vector<std::string> names;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            names.push_back(item);
-    }
-    return names;
 }
 
 } // namespace
@@ -131,7 +102,7 @@ FuzzSample::describe() const
 dram::DramDeviceConfig
 FuzzSample::toDeviceConfig() const
 {
-    auto dev = dram::makeDdr3_1600(densityFromGb(densityGb),
+    auto dev = dram::makeDdr3_1600(dram::DensityGb{densityGb},
                                    milliseconds(tREFWms), timeScale);
     dev.org.channels = channels;
     dev.org.ranksPerChannel = ranksPerChannel;
@@ -149,7 +120,7 @@ FuzzSample::toConfig(core::Policy policy) const
     cfg.channels = channels;
     cfg.ranksPerChannel = ranksPerChannel;
     cfg.banksPerRank = banksPerRank;
-    cfg.density = densityFromGb(densityGb);
+    cfg.density = dram::DensityGb{densityGb};
     cfg.tREFW = milliseconds(tREFWms);
     cfg.timeScale = timeScale;
     cfg.xorBankHash = xorBankHash;
@@ -182,6 +153,7 @@ FuzzSample::parse(const std::string &text)
             fatal("malformed fuzz sample line: ", line);
         const std::string key = line.substr(0, eq);
         const std::string val = line.substr(eq + 1);
+        const auto num = [&](auto &field) { parseInto(field, val, key); };
         if (key.rfind("scenario_", 0) == 0) {
             scenarioText += key.substr(9) + "=" + val + "\n";
         } else if (key == "kind") {
@@ -193,39 +165,39 @@ FuzzSample::parse(const std::string &text)
                 fatal("unknown sample kind: ", val);
             sawKind = true;
         } else if (key == "seed") {
-            s.seed = std::stoull(val);
+            num(s.seed);
         } else if (key == "channels") {
-            s.channels = std::stoi(val);
+            num(s.channels);
         } else if (key == "ranks") {
-            s.ranksPerChannel = std::stoi(val);
+            num(s.ranksPerChannel);
         } else if (key == "banks_per_rank") {
-            s.banksPerRank = std::stoi(val);
+            num(s.banksPerRank);
         } else if (key == "density_gb") {
-            s.densityGb = std::stoi(val);
+            num(s.densityGb);
         } else if (key == "trefw_ms") {
-            s.tREFWms = std::stod(val);
+            num(s.tREFWms);
         } else if (key == "time_scale") {
-            s.timeScale = static_cast<unsigned>(std::stoul(val));
+            num(s.timeScale);
         } else if (key == "xor_bank_hash") {
-            s.xorBankHash = std::stoi(val) != 0;
+            s.xorBankHash = parseNumber<int>(val, key) != 0;
         } else if (key == "windows") {
-            s.windows = std::stoi(val);
+            num(s.windows);
         } else if (key == "cores") {
-            s.cores = std::stoi(val);
+            num(s.cores);
         } else if (key == "tasks_per_core") {
-            s.tasksPerCore = std::stoi(val);
+            num(s.tasksPerCore);
         } else if (key == "eta_thresh") {
-            s.etaThresh = std::stoi(val);
+            num(s.etaThresh);
         } else if (key == "best_effort") {
-            s.bestEffort = std::stoi(val) != 0;
+            s.bestEffort = parseNumber<int>(val, key) != 0;
         } else if (key == "banks_per_task") {
-            s.banksPerTaskPerRank = std::stoi(val);
+            num(s.banksPerTaskPerRank);
         } else if (key == "warmup_quanta") {
-            s.warmupQuanta = std::stoi(val);
+            num(s.warmupQuanta);
         } else if (key == "measure_quanta") {
-            s.measureQuanta = std::stoi(val);
+            num(s.measureQuanta);
         } else if (key == "benchmarks") {
-            s.benchmarks = splitBenchmarks(val);
+            s.benchmarks = workload::splitBenchmarkList(val);
         } else if (key == "serving") {
             s.serving = val;
         } else {

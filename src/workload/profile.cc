@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 #include "simcore/logging.hh"
+#include "simcore/parse.hh"
 
 namespace refsched::workload
 {
@@ -53,10 +53,10 @@ PhaseSchedule::parse(const std::string &text)
                   "' (want profile@instrs@scale)");
         PhaseSpec spec;
         spec.profile = item.substr(0, a);
-        spec.instrs = std::strtoull(
-            item.substr(a + 1, b - a - 1).c_str(), nullptr, 10);
+        spec.instrs = parseNumber<std::uint64_t>(
+            item.substr(a + 1, b - a - 1), "phase instrs");
         spec.footprintScale =
-            std::strtod(item.substr(b + 1).c_str(), nullptr);
+            parseNumber<double>(item.substr(b + 1), "phase scale");
         sched.phases.push_back(std::move(spec));
     }
     sched.check();

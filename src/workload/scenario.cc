@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "simcore/logging.hh"
+#include "simcore/parse.hh"
 
 namespace refsched::workload
 {
@@ -49,15 +49,14 @@ parseEvent(const std::string &body)
               "' (want <q>:spawn:... or <q>:kill:<pid>)");
 
     ScenarioEvent ev;
-    ev.quantum = std::strtoull(parts[0].c_str(), nullptr, 10);
+    ev.quantum = parseNumber<std::uint64_t>(parts[0], "scenario: quantum");
 
     if (parts[1] == "kill") {
         if (parts.size() != 3)
             fatal("scenario: bad kill event '", body,
                   "' (want <q>:kill:<pid>)");
         ev.kind = ScenarioEventKind::Kill;
-        ev.pid = static_cast<Pid>(
-            std::strtoll(parts[2].c_str(), nullptr, 10));
+        ev.pid = parseNumber<Pid>(parts[2], "scenario: kill pid");
         return ev;
     }
     if (parts[1] != "spawn")
@@ -77,10 +76,9 @@ parseEvent(const std::string &body)
         const std::string key = opt.substr(0, eq);
         const std::string val = opt.substr(eq + 1);
         if (key == "fp")
-            ev.footprintScale = std::strtod(val.c_str(), nullptr);
+            ev.footprintScale = parseNumber<double>(val, "scenario: fp");
         else if (key == "cpu")
-            ev.cpu = static_cast<int>(
-                std::strtol(val.c_str(), nullptr, 10));
+            ev.cpu = parseNumber<int>(val, "scenario: cpu");
         else if (key == "adv")
             ev.adversarial = parseBool01(val, "adv");
         else if (key == "phases")
@@ -167,8 +165,8 @@ ScenarioScript::parse(const std::string &text)
             if (colon == std::string::npos)
                 fatal("scenario: bad phase directive '", line,
                       "' (want phase=<taskIdx>:<schedule>)");
-            const int idx = static_cast<int>(std::strtol(
-                val.substr(0, colon).c_str(), nullptr, 10));
+            const int idx = parseNumber<int>(val.substr(0, colon),
+                                             "scenario: phase task index");
             script.initialPhases.emplace_back(
                 idx, PhaseSchedule::parse(val.substr(colon + 1)));
         } else if (key == "ev") {

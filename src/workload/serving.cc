@@ -6,6 +6,7 @@
 #include "memctrl/memory_controller.hh"
 #include "os/task.hh"
 #include "simcore/logging.hh"
+#include "simcore/parse.hh"
 
 namespace refsched::workload
 {
@@ -44,22 +45,25 @@ ServingConfig::parse(const std::string &spec)
             fatal("serving spec entry has no '=': ", kv);
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
+        const auto num = [&](auto &field) {
+            parseInto(field, val, "serving " + key);
+        };
         if (key == "arrival")
             cfg.shape.kind = arrivalKindFromString(val);
         else if (key == "load")
-            cfg.loadReqPerUs = std::stod(val);
+            num(cfg.loadReqPerUs);
         else if (key == "pool")
-            cfg.poolSize = std::stoi(val);
+            num(cfg.poolSize);
         else if (key == "queue")
-            cfg.queueCapacity = std::stoi(val);
+            num(cfg.queueCapacity);
         else if (key == "lines")
-            cfg.linesPerRequest = std::stoi(val);
+            num(cfg.linesPerRequest);
         else if (key == "burst-ratio")
-            cfg.shape.burstRatio = std::stod(val);
+            num(cfg.shape.burstRatio);
         else if (key == "burst-frac")
-            cfg.shape.burstFraction = std::stod(val);
+            num(cfg.shape.burstFraction);
         else if (key == "burst-dwell")
-            cfg.shape.burstDwellArrivals = std::stod(val);
+            num(cfg.shape.burstDwellArrivals);
         else
             fatal("unknown serving spec key: ", key);
     }

@@ -1,5 +1,7 @@
 #include "workload/workloads.hh"
 
+#include <sstream>
+
 #include "simcore/logging.hh"
 
 namespace refsched::workload
@@ -90,6 +92,18 @@ randomTaskList(Rng &rng, int totalTasks)
     for (int i = 0; i < totalTasks; ++i)
         tasks.push_back(names[rng.below(names.size())]);
     return tasks;
+}
+
+std::vector<std::string>
+splitBenchmarkList(const std::string &csv)
+{
+    std::vector<std::string> names;
+    std::stringstream ss(csv);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            names.push_back(item);
+    return names;
 }
 
 } // namespace refsched::workload

@@ -42,6 +42,10 @@ const std::vector<WorkloadSpec> &table2Workloads();
 /** Look up a workload by name ("WL-3"). */
 const WorkloadSpec &workloadByName(const std::string &name);
 
+/** Split a comma-separated benchmark list ("mcf,povray"), dropping
+ *  empty entries; names are checked where the tasks are built. */
+std::vector<std::string> splitBenchmarkList(const std::string &csv);
+
 /**
  * A random multiset of built-in benchmark names: uniform independent
  * draws over builtinProfileNames().  Unlike the curated Table 2

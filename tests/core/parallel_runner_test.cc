@@ -93,7 +93,7 @@ TEST(ParallelRunnerTest, JobsDefaultsToAtLeastOne)
 {
     EXPECT_GE(ParallelRunner().jobs(), 1);
     EXPECT_GE(ParallelRunner(0).jobs(), 1);
-    EXPECT_GE(ParallelRunner(-3).jobs(), 1);
+    EXPECT_THROW(ParallelRunner(-3), FatalError);
     EXPECT_EQ(ParallelRunner(7).jobs(), 7);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hh"
+
 #include "simcore/logging.hh"
 
 namespace refsched::core
@@ -121,6 +123,56 @@ TEST(SystemConfigTest, PolicyNames)
     EXPECT_EQ(toString(Policy::AllBank), "all-bank");
     EXPECT_EQ(toString(Policy::CoDesign), "co-design");
     EXPECT_EQ(toString(Policy::Ddr4x4), "ddr4-4x");
+}
+
+TEST(SystemConfigTest, PolicyFromStringInvertsToString)
+{
+    for (int i = 0; i <= static_cast<int>(Policy::NoRefresh); ++i) {
+        const auto p = static_cast<Policy>(i);
+        EXPECT_EQ(policyFromString(toString(p)), p);
+    }
+    EXPECT_THROW(policyFromString("co_design"), FatalError);
+    EXPECT_THROW(policyFromString(""), FatalError);
+}
+
+TEST(SystemConfigTest, CheckHoldsTheFrontEndRanges)
+{
+    const auto rejects = [](auto mutate) {
+        SystemConfig cfg;
+        mutate(cfg);
+        EXPECT_THROW(cfg.check(), FatalError);
+    };
+    rejects([](SystemConfig &c) { c.numCores = 65; });
+    rejects([](SystemConfig &c) { c.tasksPerCore = 0; });
+    rejects([](SystemConfig &c) { c.tasksPerCore = 65; });
+    rejects([](SystemConfig &c) { c.channels = 0; });
+    rejects([](SystemConfig &c) { c.channels = 9; });
+    rejects([](SystemConfig &c) { c.tREFW = milliseconds(0.5); });
+    rejects([](SystemConfig &c) { c.tREFW = milliseconds(1001.0); });
+    rejects([](SystemConfig &c) { c.banksPerTaskPerRank = -2; });
+    rejects([](SystemConfig &c) { c.banksPerTaskPerRank = 65; });
+    rejects([](SystemConfig &c) { c.etaThresh = (1 << 20) + 1; });
+
+    SystemConfig edge;
+    edge.numCores = 64;
+    edge.tasksPerCore = 64;
+    edge.channels = 8;
+    edge.tREFW = milliseconds(1.0);
+    edge.banksPerTaskPerRank = -1;
+    edge.etaThresh = 1 << 20;
+    EXPECT_NO_THROW(edge.check());
+    edge.tREFW = milliseconds(1000.0);
+    EXPECT_NO_THROW(edge.check());
+}
+
+TEST(RunOptionsTest, CheckHoldsTheQuantaRanges)
+{
+    EXPECT_NO_THROW((RunOptions{0, 1}.check()));
+    EXPECT_NO_THROW((RunOptions{1 << 20, 1 << 20}.check()));
+    EXPECT_THROW((RunOptions{-1, 16}.check()), FatalError);
+    EXPECT_THROW((RunOptions{8, 0}.check()), FatalError);
+    EXPECT_THROW((RunOptions{(1 << 20) + 1, 16}.check()), FatalError);
+    EXPECT_THROW((RunOptions{8, (1 << 20) + 1}.check()), FatalError);
 }
 
 } // namespace

@@ -34,6 +34,37 @@ operator new[](std::size_t n)
     return countedAlloc(n);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer, for one)
+// must come from the same malloc/free pair, or a sanitizer sees
+// memory from its own operator new released through std::free.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(n);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return operator new(n, tag);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
 void
 operator delete(void *p) noexcept
 {

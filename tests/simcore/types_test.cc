@@ -19,6 +19,13 @@ TEST(TypesTest, UnitConversions)
     EXPECT_EQ(microseconds(7.8125), 7812500u);
 }
 
+TEST(TypesTest, MillisecondsSaturates)
+{
+    EXPECT_EQ(milliseconds(0.0), 0u);
+    EXPECT_EQ(milliseconds(-3.0), 0u);
+    EXPECT_EQ(milliseconds(1e300), kMaxTick);
+}
+
 TEST(TypesTest, SizeHelpers)
 {
     EXPECT_EQ(kKiB, 1024u);

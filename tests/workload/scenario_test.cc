@@ -101,6 +101,16 @@ TEST(ScenarioScriptTest, RejectsInvalidScripts)
     EXPECT_THROW(ScenarioScript::parse("bogus=1\n"), FatalError);
 }
 
+TEST(ScenarioScriptTest, RejectsMalformedNumbers)
+{
+    for (const char *text :
+         {"ev=2x:kill:2\n", "ev=2:kill:2y\n", "ev=:kill:2\n",
+          "ev=3:spawn:stream:fp=0.5x\n", "ev=3:spawn:stream:cpu=1y\n",
+          "phase=0x:mcf@100@1\n", "phase=0:mcf@1e3@1\n",
+          "phase=0:mcf@100@1z\n"})
+        EXPECT_THROW(ScenarioScript::parse(text), FatalError) << text;
+}
+
 TEST(ScenarioScriptTest, EmptyScriptIsEmpty)
 {
     const ScenarioScript script;

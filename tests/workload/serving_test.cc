@@ -48,6 +48,16 @@ TEST(ServingConfigTest, ParseRejectsUnknownKeyAndBadValues)
     EXPECT_THROW(ServingConfig::parse("queue=-1"), FatalError);
 }
 
+TEST(ServingConfigTest, ParseRejectsMalformedNumbers)
+{
+    EXPECT_THROW(ServingConfig::parse("load=abc"), FatalError);
+    EXPECT_THROW(ServingConfig::parse("load=1,pool=4x"), FatalError);
+    EXPECT_THROW(ServingConfig::parse("load=1,lines="), FatalError);
+    EXPECT_THROW(ServingConfig::parse("load=1e400"), FatalError);
+    EXPECT_DOUBLE_EQ(ServingConfig::parse("load=1.5e-1").loadReqPerUs,
+                     0.15);
+}
+
 TEST(ServingConfigTest, MeanGapMatchesOfferedLoad)
 {
     ServingConfig cfg;

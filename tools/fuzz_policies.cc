@@ -25,7 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "simcore/logging.hh"
+#include "core/parallel_runner.hh"
+#include "simcore/parse.hh"
 #include "validate/fuzz/fuzz_runner.hh"
 
 using namespace refsched;
@@ -63,27 +64,26 @@ main(int argc, char **argv)
     std::string replayDir;
     bool samplesSet = false;
 
-    const auto value = [&](int &i) -> std::string {
-        if (i + 1 >= argc)
-            usage(argv[0], std::string(argv[i]) + " needs a value");
-        return argv[++i];
+    const auto value = [&](int &i) { return flagValue(argc, argv, i); };
+    const auto num = [&](int &i, auto &field) {
+        parseFlag(argc, argv, i, field);
     };
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char *arg = argv[i];
             if (!std::strcmp(arg, "--samples")) {
-                opts.samples = std::stoi(value(i));
+                num(i, opts.samples);
                 samplesSet = true;
             }
             else if (!std::strcmp(arg, "--seed"))
-                opts.seed = std::stoull(value(i));
+                num(i, opts.seed);
             else if (!std::strcmp(arg, "--jobs"))
-                opts.jobs = std::stoi(value(i));
+                num(i, opts.jobs);
             else if (!std::strcmp(arg, "--mode"))
                 opts.onlyKind = value(i);
             else if (!std::strcmp(arg, "--shrink-budget"))
-                opts.shrinkBudgetSec = std::stod(value(i));
+                num(i, opts.shrinkBudgetSec);
             else if (!std::strcmp(arg, "--corpus-dir"))
                 opts.corpusDir = value(i);
             else if (!std::strcmp(arg, "--replay"))
@@ -95,25 +95,22 @@ main(int argc, char **argv)
                 usage(argv[0]);
             else
                 usage(argv[0], std::string("unknown option ") + arg);
-        } catch (const std::invalid_argument &) {
-            usage(argv[0], std::string("bad value for ") + arg);
-        } catch (const std::out_of_range &) {
-            usage(argv[0], std::string("bad value for ") + arg);
         }
-    }
-    if (!opts.onlyKind.empty() && opts.onlyKind != "cadence"
-        && opts.onlyKind != "system" && opts.onlyKind != "both") {
-        usage(argv[0], "bad --mode " + opts.onlyKind);
-    }
-    if (opts.onlyKind == "both")
-        opts.onlyKind.clear();
+        if (!opts.onlyKind.empty() && opts.onlyKind != "cadence"
+            && opts.onlyKind != "system" && opts.onlyKind != "both") {
+            usage(argv[0], "bad --mode " + opts.onlyKind);
+        }
+        if (opts.onlyKind == "both")
+            opts.onlyKind.clear();
+        // A negative --jobs is a usage error here, not a failing
+        // sample: let the runner's own check reject it up front.
+        core::ParallelRunner{opts.jobs};
 
-    // Thousands of short simulations make the library's per-run
-    // warnings (footprint scaling, zero-IPC tasks in short
-    // intervals) pure noise; the oracles report what matters.
-    setLogLevel(LogLevel::Quiet);
+        // Thousands of short simulations make the library's per-run
+        // warnings (footprint scaling, zero-IPC tasks in short
+        // intervals) pure noise; the oracles report what matters.
+        setLogLevel(LogLevel::Quiet);
 
-    try {
         if (!replayDir.empty()) {
             std::vector<std::string> files;
             for (const auto &entry :

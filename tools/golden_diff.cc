@@ -18,9 +18,11 @@
  *       with N workers, and verify every cell's event stream is
  *       byte-identical -- the determinism contract of the parallel
  *       runner, checked at event granularity
+ *
+ * Invalid input exits 1 with one "fatal:" line on stderr.
  */
 
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -29,6 +31,7 @@
 #include "core/experiment.hh"
 #include "core/parallel_runner.hh"
 #include "core/system.hh"
+#include "simcore/parse.hh"
 #include "validate/golden_trace.hh"
 
 using namespace refsched;
@@ -49,10 +52,8 @@ struct Options
 };
 
 [[noreturn]] void
-usage(const char *argv0, const std::string &error = "")
+usage(const char *argv0)
 {
-    if (!error.empty())
-        std::cerr << "error: " << error << "\n\n";
     std::cerr
         << "usage: " << argv0 << " record --out FILE [options]\n"
         << "       " << argv0 << " diff FILE1 FILE2\n"
@@ -70,27 +71,13 @@ usage(const char *argv0, const std::string &error = "")
     std::exit(2);
 }
 
-core::Policy
-parsePolicy(const std::string &s, const char *argv0)
-{
-    for (auto p : {core::Policy::AllBank, core::Policy::PerBank,
-                   core::Policy::PerBankOoo, core::Policy::Ddr4x2,
-                   core::Policy::Ddr4x4, core::Policy::Adaptive,
-                   core::Policy::CoDesign, core::Policy::NoRefresh}) {
-        if (core::toString(p) == s)
-            return p;
-    }
-    usage(argv0, "unknown policy: " + s);
-}
-
 Options
 parse(int argc, char **argv, int first)
 {
     Options o;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(argv[0], std::string(argv[i]) + " needs a value");
-        return argv[++i];
+    auto need = [&](int &i) { return flagValue(argc, argv, i); };
+    auto num = [&](int &i, auto &field) {
+        parseFlag(argc, argv, i, field);
     };
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
@@ -99,19 +86,19 @@ parse(int argc, char **argv, int first)
         else if (a == "--workload")
             o.workload = need(i);
         else if (a == "--policy")
-            o.policy = parsePolicy(need(i), argv[0]);
+            o.policy = core::policyFromString(need(i));
         else if (a == "--density")
-            o.densityGb = std::atoi(need(i));
+            num(i, o.densityGb);
         else if (a == "--scale")
-            o.timeScale = static_cast<unsigned>(std::atoi(need(i)));
+            num(i, o.timeScale);
         else if (a == "--warmup")
-            o.warmupQuanta = std::atoi(need(i));
+            num(i, o.warmupQuanta);
         else if (a == "--measure")
-            o.measureQuanta = std::atoi(need(i));
+            num(i, o.measureQuanta);
         else if (a == "--jobs")
-            o.jobs = std::atoi(need(i));
+            num(i, o.jobs);
         else
-            usage(argv[0], "unknown option: " + a);
+            fatal("unknown option: ", a);
     }
     return o;
 }
@@ -125,10 +112,10 @@ cellConfig(const Options &o, core::Policy policy)
 }
 
 int
-cmdRecord(const Options &o, const char *argv0)
+cmdRecord(const Options &o)
 {
     if (o.out.empty())
-        usage(argv0, "record needs --out FILE");
+        fatal("record needs --out FILE");
     validate::TraceRecorder rec;
     core::System sys(cellConfig(o, o.policy));
     sys.attachProbe(&rec);
@@ -215,15 +202,15 @@ main(int argc, char **argv)
 
     try {
         if (cmd == "record")
-            return cmdRecord(parse(argc, argv, 2), argv[0]);
+            return cmdRecord(parse(argc, argv, 2));
         if (cmd == "diff") {
             if (argc != 4)
-                usage(argv[0], "diff needs exactly two files");
+                fatal("diff needs exactly two files");
             return cmdDiff(argv[2], argv[3]);
         }
         if (cmd == "jobs-check")
             return cmdJobsCheck(parse(argc, argv, 2));
-        usage(argv[0], "unknown command: " + cmd);
+        fatal("unknown command: ", cmd);
     } catch (const FatalError &e) {
         std::cerr << "fatal: " << e.what() << "\n";
         return 1;

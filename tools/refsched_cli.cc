@@ -13,19 +13,14 @@
  * on an invariant violation.
  */
 
-#include <charconv>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/system.hh"
-#include "obs/timeline.hh"
+#include "simcore/parse.hh"
 #include "workload/workloads.hh"
 
 using namespace refsched;
@@ -35,33 +30,18 @@ namespace
 
 struct CliOptions
 {
-    std::string workload;
-    std::vector<std::string> benchmarks;
-    std::string scenarioPath;
-    std::string servingSpec;
-    core::Policy policy = core::Policy::CoDesign;
+    /** Knobs that map 1:1 onto the model land here directly. */
+    core::SystemConfig cfg;
+    std::string workload = "WL-5";  ///< unless --benchmarks is given
     int densityGb = 32;
     double retentionMs = 64.0;
-    int cores = 2;
-    int tasksPerCore = 4;
-    int channels = 1;
-    unsigned timeScale = 128;
-    int warmupQuanta = 8;
-    int measureQuanta = 16;
-    int etaThresh = 64;
-    int banksPerTask = -1;
     std::string partition;  // "", "soft", "hard", "none"
-    std::uint64_t seed = 1;
-    bool validate = false;
+    core::RunOptions run;
     bool dumpStats = false;
     bool csv = false;
     bool json = false;
     bool verbose = false;
-    std::string timelinePath;
-    std::string statsJsonPath;
-    std::string telemetryPath;
-    Tick telemetryPeriod = 0;  // 0 (flag absent) keeps the default
-    obs::TimelineOptions window;
+    core::RunArtifacts artifacts;
 };
 
 /** Minimal JSON rendering of the metrics (machine consumption). */
@@ -77,36 +57,6 @@ printJson(std::ostream &os, const core::SystemConfig &cfg,
        << "  \"metrics\": ";
     m.toJson(os, 2);
     os << "\n}\n";
-}
-
-/** Input-contract failure: one diagnostic line, exit status 1. */
-[[noreturn]] void
-reject(const std::string &error)
-{
-    std::cerr << "fatal: " << error << " (see --help)\n";
-    std::exit(1);
-}
-
-/**
- * Parse all of @p text as a number in [lo, hi], or reject().  No
- * leading whitespace, sign games or trailing junk: "12abc", "" and
- * "-3" for an unsigned flag are all errors, not silent values.
- */
-template <typename T>
-T
-parseNumber(const std::string &flag, const char *text, T lo, T hi)
-{
-    const char *end = text + std::strlen(text);
-    T v{};
-    const auto [ptr, ec] = std::from_chars(text, end, v);
-    if (ec != std::errc{} || ptr != end || ptr == text || v < lo
-        || v > hi) {
-        std::ostringstream os;
-        os << flag << " wants a number in [" << lo << ", " << hi
-           << "], got '" << text << "'";
-        reject(os.str());
-    }
-    return v;
 }
 
 [[noreturn]] void
@@ -187,110 +137,77 @@ usage(const char *argv0)
     std::exit(0);
 }
 
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-core::Policy
-parsePolicy(const std::string &s)
-{
-    for (auto p : {core::Policy::AllBank, core::Policy::PerBank,
-                   core::Policy::PerBankOoo, core::Policy::Ddr4x2,
-                   core::Policy::Ddr4x4, core::Policy::Adaptive,
-                   core::Policy::CoDesign, core::Policy::NoRefresh}) {
-        if (core::toString(p) == s)
-            return p;
-    }
-    reject("unknown policy: " + s);
-}
-
 CliOptions
 parse(int argc, char **argv)
 {
     CliOptions o;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            reject(std::string(argv[i]) + " needs a value");
-        return argv[++i];
-    };
-    // Whole-token numeric value of the current flag, in [lo, hi].
-    auto num = [&](int &i, auto lo, auto hi) {
-        const std::string flag = argv[i];
-        return parseNumber(flag, need(i), lo, hi);
+    o.cfg.timeScale = 128;
+    o.cfg.applyPolicy(core::Policy::CoDesign);
+    auto need = [&](int &i) { return flagValue(argc, argv, i); };
+    // Ranges are SystemConfig::check()'s and RunOptions::check()'s.
+    auto num = [&](int &i, auto &field) {
+        parseFlag(argc, argv, i, field);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--workload") {
             o.workload = need(i);
         } else if (a == "--benchmarks") {
-            o.benchmarks = splitCsv(need(i));
+            o.cfg.benchmarks = workload::splitBenchmarkList(need(i));
         } else if (a == "--scenario") {
-            o.scenarioPath = need(i);
+            o.cfg.scenario =
+                workload::ScenarioScript::parseFile(need(i));
         } else if (a == "--serving") {
-            o.servingSpec = need(i);
+            o.cfg.serving = workload::ServingConfig::parse(need(i));
         } else if (a == "--policy") {
-            o.policy = parsePolicy(need(i));
+            o.cfg.applyPolicy(core::policyFromString(need(i)));
         } else if (a == "--density") {
-            o.densityGb = num(i, 8, 32);
-            if (o.densityGb % 8 != 0)
-                reject("--density must be 8, 16, 24 or 32");
+            num(i, o.densityGb);
         } else if (a == "--retention") {
-            o.retentionMs = num(i, 1.0, 1000.0);
+            num(i, o.retentionMs);
         } else if (a == "--cores") {
-            o.cores = num(i, 1, 64);
+            num(i, o.cfg.numCores);
         } else if (a == "--channels") {
-            o.channels = num(i, 1, 8);
+            num(i, o.cfg.channels);
         } else if (a == "--tasks-per-core") {
-            o.tasksPerCore = num(i, 1, 64);
+            num(i, o.cfg.tasksPerCore);
         } else if (a == "--banks-per-task") {
-            o.banksPerTask = num(i, -1, 64);
+            num(i, o.cfg.banksPerTaskPerRank);
         } else if (a == "--partition") {
             o.partition = need(i);
         } else if (a == "--eta") {
-            o.etaThresh = num(i, 1, 1 << 20);
+            num(i, o.cfg.etaThresh);
         } else if (a == "--scale") {
-            o.timeScale = num(i, 1u, 1u << 20);
+            num(i, o.cfg.timeScale);
         } else if (a == "--warmup") {
-            o.warmupQuanta = num(i, 0, 1 << 20);
+            num(i, o.run.warmupQuanta);
         } else if (a == "--measure") {
-            o.measureQuanta = num(i, 1, 1 << 20);
+            num(i, o.run.measureQuanta);
         } else if (a == "--seed") {
-            o.seed = num(i, std::uint64_t{0},
-                         std::numeric_limits<std::uint64_t>::max());
+            num(i, o.cfg.seed);
         } else if (a == "--validate") {
-            o.validate = true;
+            o.cfg.validate = true;
         } else if (a == "--timeline") {
-            o.timelinePath = need(i);
+            o.artifacts.timeline = need(i);
         } else if (a == "--stats-json") {
-            o.statsJsonPath = need(i);
+            o.artifacts.statsJson = need(i);
         } else if (a == "--telemetry") {
-            o.telemetryPath = need(i);
+            o.artifacts.telemetry = need(i);
         } else if (a == "--telemetry-period") {
-            o.telemetryPeriod = num(i, Tick{1}, kMaxTick);
+            num(i, o.cfg.telemetry.periodTicks);
         } else if (a == "--trace-window") {
             const std::string w = need(i);
             const auto colon = w.find(':');
             if (colon == std::string::npos)
-                reject("--trace-window wants START:END");
-            const std::string startStr = w.substr(0, colon);
-            const std::string endStr = w.substr(colon + 1);
-            o.window.windowStart = parseNumber(
-                "--trace-window START", startStr.c_str(), Tick{0},
-                kMaxTick);
-            o.window.windowEnd = endStr.empty()
-                ? kMaxTick
-                : parseNumber("--trace-window END", endStr.c_str(),
-                              Tick{0}, kMaxTick);
-            if (o.window.windowStart >= o.window.windowEnd)
-                reject("--trace-window is empty");
+                fatal("--trace-window wants START:END, got '", w, "'");
+            auto &window = o.artifacts.window;
+            window.windowStart = parseNumber<Tick>(
+                w.substr(0, colon), "--trace-window START");
+            if (colon + 1 < w.size())
+                window.windowEnd = parseNumber<Tick>(
+                    w.substr(colon + 1), "--trace-window END");
+            if (window.windowStart >= window.windowEnd)
+                fatal("--trace-window is empty");
         } else if (a == "--dump-stats") {
             o.dumpStats = true;
         } else if (a == "--json") {
@@ -302,30 +219,18 @@ parse(int argc, char **argv)
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
         } else {
-            reject("unknown option: " + a);
+            fatal("unknown option: ", a, " (see --help)");
         }
     }
-    if (o.workload.empty() && o.benchmarks.empty())
-        o.workload = "WL-5";
     return o;
 }
 
 core::SystemConfig
 buildConfig(const CliOptions &o)
 {
-    core::SystemConfig cfg;
-    cfg.numCores = o.cores;
-    cfg.tasksPerCore = o.tasksPerCore;
-    cfg.density = static_cast<dram::DensityGb>(o.densityGb);
+    core::SystemConfig cfg = o.cfg;
+    cfg.density = dram::DensityGb{o.densityGb};
     cfg.tREFW = milliseconds(o.retentionMs);
-    cfg.timeScale = o.timeScale;
-    cfg.applyPolicy(o.policy);
-    cfg.etaThresh = o.etaThresh;
-    cfg.banksPerTaskPerRank = o.banksPerTask;
-    cfg.seed = o.seed;
-    cfg.validate = o.validate;
-    cfg.channels = o.channels;
-
     if (!o.partition.empty()) {
         if (o.partition == "soft")
             cfg.partitioning = core::Partitioning::Soft;
@@ -334,31 +239,16 @@ buildConfig(const CliOptions &o)
         else if (o.partition == "none")
             cfg.partitioning = core::Partitioning::None;
         else
-            reject("unknown partition mode: " + o.partition);
+            fatal("unknown partition mode: ", o.partition);
     }
-
-    if (!o.benchmarks.empty()) {
-        if (static_cast<int>(o.benchmarks.size())
-            != cfg.totalTasks()) {
-            reject("--benchmarks needs exactly cores*tasks-per-core "
-                   "entries ("
-                   + std::to_string(cfg.totalTasks()) + ")");
-        }
-        cfg.benchmarks = o.benchmarks;
-    } else {
+    cfg.telemetry.enabled = !o.artifacts.telemetry.empty();
+    // The period is checked even when no --telemetry file asks for it.
+    obs::TelemetryConfig{true, cfg.telemetry.periodTicks}.check();
+    // Check before the task count sizes the default workload.
+    cfg.check();
+    if (cfg.benchmarks.empty())
         cfg.benchmarks = workload::workloadByName(o.workload)
                              .taskList(cfg.totalTasks());
-    }
-    if (!o.scenarioPath.empty())
-        cfg.scenario = workload::ScenarioScript::parseFile(
-            o.scenarioPath);
-    if (!o.servingSpec.empty())
-        cfg.serving = workload::ServingConfig::parse(o.servingSpec);
-    if (!o.telemetryPath.empty()) {
-        cfg.telemetry.enabled = true;
-        if (o.telemetryPeriod > 0)
-            cfg.telemetry.periodTicks = o.telemetryPeriod;
-    }
     return cfg;
 }
 
@@ -367,42 +257,17 @@ buildConfig(const CliOptions &o)
 int
 main(int argc, char **argv)
 {
-    const auto opts = parse(argc, argv);
-    if (opts.verbose)
-        setLogLevel(LogLevel::Inform);
-
     try {
+        const auto opts = parse(argc, argv);
+        if (opts.verbose)
+            setLogLevel(LogLevel::Inform);
         const auto cfg = buildConfig(opts);
         core::System sys(cfg);
-
-        std::unique_ptr<obs::TimelineRecorder> timeline;
-        if (!opts.timelinePath.empty()) {
-            timeline = std::make_unique<obs::TimelineRecorder>(
-                sys.controller().config().org, cfg.numCores,
-                opts.window);
-            sys.attachProbe(timeline.get());
-        }
-
         const auto m =
-            sys.run(opts.warmupQuanta, opts.measureQuanta);
-
-        if (!opts.telemetryPath.empty()) {
-            sys.telemetry()->writeFile(opts.telemetryPath);
-            if (timeline)
-                sys.telemetry()->exportCounters(*timeline);
-        }
-        if (timeline)
-            timeline->writeFile(opts.timelinePath);
-        if (!opts.statsJsonPath.empty()) {
-            std::ofstream f(opts.statsJsonPath);
-            if (!f)
-                fatal("cannot open --stats-json file: ",
-                      opts.statsJsonPath);
-            sys.writeStatsJson(f, m);
-        }
+            core::runWithArtifacts(sys, opts.run, opts.artifacts);
 
         const auto validationStatus = [&]() -> int {
-            if (!opts.validate)
+            if (!cfg.validate)
                 return 0;
             if (m.validationViolations == 0) {
                 std::cerr << "validation: clean\n";

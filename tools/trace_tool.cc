@@ -10,11 +10,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "core/report.hh"
-#include "simcore/logging.hh"
+#include "simcore/parse.hh"
 #include "workload/profile.hh"
 #include "workload/trace_file.hh"
 #include "workload/trace_generator.hh"
@@ -43,14 +44,18 @@ record(int argc, char **argv)
     if (argc < 5)
         usage();
     const std::string bench = argv[2];
-    const auto n = std::strtoull(argv[3], nullptr, 10);
+    const auto n = parseNumber<std::uint64_t>(argv[3], "N");
     const std::string out = argv[4];
     const auto &prof = profileByName(bench);
-    const std::uint64_t footprint = argc > 5
-        ? std::strtoull(argv[5], nullptr, 10) * kMiB
-        : prof.footprintBytes;
+    std::uint64_t footprint = prof.footprintBytes;
+    if (argc > 5) {
+        const auto mib = parseNumber<std::uint64_t>(argv[5], "footprintMiB");
+        if (mib > std::numeric_limits<std::uint64_t>::max() / kMiB)
+            fatal("footprintMiB ", mib, " overflows a byte count");
+        footprint = mib * kMiB;
+    }
     const std::uint64_t seed =
-        argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+        argc > 6 ? parseNumber<std::uint64_t>(argv[6], "seed") : 1;
 
     SyntheticTraceGenerator gen(prof, seed, footprint);
     const auto entries = recordTrace(gen, n);
