@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot substrate operations:
- * the red-black tree, buddy allocator, event queue, cache, trace
+ * the CFS runqueue, buddy allocator, event queue, cache, trace
  * generation, and memory-controller throughput.  These guard against
  * performance regressions in the simulator itself.
  */
@@ -13,7 +13,6 @@
 #include "memctrl/memory_controller.hh"
 #include "os/buddy_allocator.hh"
 #include "os/cfs_runqueue.hh"
-#include "os/rbtree.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
 #include "simcore/event_queue.hh"
@@ -24,35 +23,6 @@ using namespace refsched;
 
 namespace
 {
-
-void
-BM_RbTreeInsertErase(benchmark::State &state)
-{
-    os::RbTree<std::uint64_t, int> tree;
-    Rng rng(1);
-    std::vector<decltype(tree)::Node *> nodes;
-    for (std::int64_t i = 0; i < state.range(0); ++i)
-        nodes.push_back(tree.insert(rng.next(), 0));
-    std::size_t i = 0;
-    for (auto _ : state) {
-        tree.erase(nodes[i]);
-        nodes[i] = tree.insert(rng.next(), 0);
-        i = (i + 1) % nodes.size();
-    }
-}
-BENCHMARK(BM_RbTreeInsertErase)->Arg(16)->Arg(1024);
-
-void
-BM_RbTreeLeftmost(benchmark::State &state)
-{
-    os::RbTree<std::uint64_t, int> tree;
-    Rng rng(1);
-    for (int i = 0; i < 1024; ++i)
-        tree.insert(rng.next(), 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(tree.leftmost());
-}
-BENCHMARK(BM_RbTreeLeftmost);
 
 void
 BM_BuddyAllocFreePage(benchmark::State &state)

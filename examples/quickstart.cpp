@@ -11,20 +11,21 @@
  *   density   8|16|24|32      (default 32)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "simcore/parse.hh"
 
 using namespace refsched;
 
 int
 main(int argc, char **argv)
-{
+try {
     const std::string workload = argc > 1 ? argv[1] : "WL-5";
-    const int densityGb = argc > 2 ? std::atoi(argv[2]) : 32;
+    const int densityGb =
+        argc > 2 ? parseNumber<int>(argv[2], "density") : 32;
     const auto density = static_cast<dram::DensityGb>(densityGb);
 
     std::cout << "refsched quickstart: workload " << workload << ", "
@@ -67,4 +68,7 @@ main(int argc, char **argv)
               << "spread " << core::fmt(coDesign.vruntimeSpreadQuanta, 2)
               << " quanta\n";
     return 0;
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
+    return 1;
 }

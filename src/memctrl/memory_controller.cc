@@ -26,8 +26,6 @@ MemoryController::Channel::Channel(const dram::DramDeviceConfig &cfg,
             bank.push_back(&b);
     readHitCnt.assign(banksTotal, 0);
     writeHitCnt.assign(banksTotal, 0);
-    stats.readLatencyDist.init(
-        0.0, 4.0e6 /* ps: 4 us */, 64);
 }
 
 MemoryController::MemoryController(
@@ -577,7 +575,6 @@ MemoryController::completeRead(Channel &c, Request &req, Tick dataAt)
 {
     const auto latency = static_cast<double>(dataAt - req.enqueuedAt);
     c.stats.readLatency.sample(latency);
-    c.stats.readLatencyDist.sample(latency);
     c.stats.readQueueWait.sample(
         static_cast<double>(eq_.now() - req.enqueuedAt));
     c.stats.readQueueWaitHist.sample(
@@ -932,9 +929,9 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
 }
 
 bool
-MemoryController::closedPagePrecharge(Channel &c,
-                                      [[maybe_unused]] int ch,
-                                      Tick &wake)
+MemoryController::idleRowPrecharge(Channel &c,
+                                   [[maybe_unused]] int ch,
+                                   Tick idleTimeout, Tick &wake)
 {
     const Tick now = eq_.now();
     const auto &t = cfg_.timings;
@@ -948,8 +945,9 @@ MemoryController::closedPagePrecharge(Channel &c,
     // wants are precharge candidates -- exactly
     // open & ~frozen & ~(readHit | writeHit), a single word op.
     // Hit banks lose their conservative preAllowedAt wake fold, but
-    // no precharge can issue there until the hit is served, and
-    // serving happens inside a tick that re-arms the wake itself.
+    // no precharge can issue there until the hit is served (serving
+    // resets the idle clock), and serving happens inside a tick that
+    // re-arms the wake itself.
     std::uint64_t word = c.openMask & ~c.frozenMask
         & ~(c.readHitMask | c.writeHitMask);
     while (word != 0) {
@@ -960,50 +958,8 @@ MemoryController::closedPagePrecharge(Channel &c,
             cand(b.refreshingUntil);
             continue;
         }
-        if (now < b.preAllowedAt) {
-            cand(b.preAllowedAt);
-            continue;
-        }
-        const int rank = bankIdx / cfg_.org.banksPerRank;
-        const int bank = bankIdx % cfg_.org.banksPerRank;
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::Pre, ch, rank, bank,
-                           static_cast<std::uint64_t>(b.openRow), 0}));
-        mcPrecharge(c, bankIdx, t);
-        return true;
-    }
-    return false;
-}
-
-bool
-MemoryController::idleRowPrecharge(Channel &c,
-                                   [[maybe_unused]] int ch,
-                                   Tick &wake)
-{
-    const Tick now = eq_.now();
-    const auto &t = cfg_.timings;
-
-    auto cand = [&](Tick when) {
-        if (when > now)
-            wake = std::min(wake, when);
-    };
-
-    // Banks with a queued hit are pass 1's business (serving resets
-    // the idle clock), frozen banks contribute neither an issue nor
-    // a fold -- both drop out of the scan word up front.
-    std::uint64_t word = c.openMask & ~c.frozenMask
-        & ~(c.readHitMask | c.writeHitMask);
-    while (word != 0) {
-        const int bankIdx = std::countr_zero(word);
-        word &= word - 1;
-        dram::Bank &b = *c.bank[static_cast<std::size_t>(bankIdx)];
-        if (b.underRefresh(now)) {
-            cand(b.refreshingUntil);
-            continue;
-        }
-        const Tick expiry =
-            b.lastAccessAt + params_.openRowIdleTimeout;
+        // lastAccessAt <= now, so a zero timeout never defers.
+        const Tick expiry = b.lastAccessAt + idleTimeout;
         if (now < expiry) {
             cand(expiry);
             continue;
@@ -1019,7 +975,8 @@ MemoryController::idleRowPrecharge(Channel &c,
                            bankIdx % cfg_.org.banksPerRank,
                            static_cast<std::uint64_t>(b.openRow), 0}));
         mcPrecharge(c, bankIdx, t);
-        ++c.stats.idleRowCloses;
+        if (idleTimeout > 0)
+            ++c.stats.idleRowCloses;
         return true;
     }
     return false;
@@ -1075,11 +1032,11 @@ MemoryController::tick(int ch)
         else
             issued = serveQueue(c, ch, c.readQ, false, wake);
     }
-    if (!issued && params_.pagePolicy == PagePolicy::Closed)
-        issued = closedPagePrecharge(c, ch, wake);
-    if (!issued && params_.pagePolicy == PagePolicy::Open
-        && params_.openRowIdleTimeout > 0)
-        issued = idleRowPrecharge(c, ch, wake);
+    // The closed-page policy is the idle close with a zero timeout.
+    const bool closed = params_.pagePolicy == PagePolicy::Closed;
+    const Tick idleTimeout = closed ? 0 : params_.openRowIdleTimeout;
+    if (!issued && (closed || idleTimeout > 0))
+        issued = idleRowPrecharge(c, ch, idleTimeout, wake);
 
     // Re-arm.  A command issue changes gate state, so the very next
     // edge may issue again; a no-op tick sleeps to the earliest gate
@@ -1122,7 +1079,6 @@ MemoryController::registerStats(StatRegistry &reg,
         reg.add(p + "forwardedReads", &s.forwardedReads);
         reg.add(p + "readLatency", &s.readLatency);
         reg.add(p + "readQueueWait", &s.readQueueWait);
-        reg.add(p + "readLatencyDist", &s.readLatencyDist);
         reg.add(p + "readLatencyClean", &s.readLatencyClean);
         reg.add(p + "readLatencyBlocked", &s.readLatencyBlocked);
         reg.add(p + "readQueueWaitHist", &s.readQueueWaitHist);

@@ -208,7 +208,6 @@ class MemoryController : public dram::McRefreshView, public Callee
         Scalar forwardedReads;
         Average readLatency;   ///< enqueue -> data (ticks)
         Average readQueueWait; ///< enqueue -> CAS issue (ticks)
-        Distribution readLatencyDist;
         /** Read latency split by refresh interference: a read that
          *  ever waited on a refreshing/frozen bank lands in the
          *  blocked histogram, every other read in the clean one. */
@@ -391,14 +390,12 @@ class MemoryController : public dram::McRefreshView, public Callee
     bool serveQueue(Channel &c, int ch, BankedRequestQueue &q,
                     bool isWriteQueue, Tick &wake);
 
-    /** Closed-page policy: precharge one idle open row, if any;
-     *  time-gated skips fold into @p wake. */
-    bool closedPagePrecharge(Channel &c, int ch, Tick &wake);
-
-    /** Open-page idle timeout: precharge one open row that has been
-     *  idle past openRowIdleTimeout and that no queued request still
-     *  wants; pending expiries fold into @p wake. */
-    bool idleRowPrecharge(Channel &c, int ch, Tick &wake);
+    /** Precharge one open row that has been idle for @p idleTimeout
+     *  and that no queued request still wants: 0 for the closed-page
+     *  policy, openRowIdleTimeout for the open one.  Time-gated skips
+     *  and pending expiries fold into @p wake. */
+    bool idleRowPrecharge(Channel &c, int ch, Tick idleTimeout,
+                          Tick &wake);
 
     /** True if the bank is frozen by an in-flight/pending refresh. */
     bool frozenByRefresh(const Channel &c, int rank, int bank) const;

@@ -89,6 +89,28 @@ BuddyAllocator::popBankCache(int bank)
         return std::nullopt;
     const std::uint64_t pfn = cache.back();
     cache.pop_back();
+    freeFrames_ -= 1;  // cached pages count as free
+    return pfn;
+}
+
+std::uint64_t
+BuddyAllocator::grant(Task *task, std::uint64_t pfn, int bank,
+                      bool fallback)
+{
+    ++pagesAllocated_;
+    if (fallback)
+        ++fallbacks_;
+    if (task) {
+        task->lastAllocedBank = bank;
+        task->addResidentPage(bank);
+        if (fallback)
+            ++task->fallbackAllocs;
+    }
+    REFSCHED_PROBE(probe_,
+                   onPageAlloc({clock_ ? clock_->now() : 0,
+                                task ? task->pid() : -1, pfn, fallback,
+                                task ? &task->possibleBanksVector
+                                     : nullptr}));
     return pfn;
 }
 
@@ -110,36 +132,16 @@ BuddyAllocator::allocPage(Task &task)
         // Hit from a per-bank free list (line 15).
         if (auto pfn = popBankCache(allocBank)) {
             ++bankCacheHits_;
-            ++pagesAllocated_;
-            freeFrames_ -= 1;  // cached pages count as free
-            task.lastAllocedBank = allocBank;
-            task.addResidentPage(allocBank);
-            REFSCHED_PROBE(probe_,
-                           onPageAlloc({clock_ ? clock_->now() : 0,
-                                        task.pid(), *pfn, false,
-                                        &task.possibleBanksVector}));
-            return pfn;
+            return grant(&task, *pfn, allocBank, false);
         }
 
         // Fetch pages from the OS free list, stashing pages whose
         // bank does not match into their bank caches (lines 19-34).
-        while (true) {
-            auto page = allocBlock(0);
-            if (!page)
-                break;  // buddy lists exhausted
+        while (auto page = allocBlock(0)) {
             ++osListFetches_;
             const int bank = mapping_.bankOfFrame(*page);
-            if (bank == allocBank) {
-                ++pagesAllocated_;
-                task.lastAllocedBank = allocBank;
-                task.addResidentPage(allocBank);
-                REFSCHED_PROBE(
-                    probe_,
-                    onPageAlloc({clock_ ? clock_->now() : 0,
-                                 task.pid(), *page, false,
-                                 &task.possibleBanksVector}));
-                return page;
-            }
+            if (bank == allocBank)
+                return grant(&task, *page, allocBank, false);
             // Maintaining a cache of per-bank free lists (line 33).
             perBankFree_[static_cast<std::size_t>(bank)].push_back(
                 *page);
@@ -157,41 +159,11 @@ BuddyAllocator::allocPageAnyBank(Task *task)
     const int start = task ? (task->lastAllocedBank + 1) : 0;
     for (int i = 0; i < numBanks_; ++i) {
         const int bank = (start + i) % numBanks_;
-        if (auto pfn = popBankCache(bank)) {
-            ++fallbacks_;
-            ++pagesAllocated_;
-            freeFrames_ -= 1;
-            if (task) {
-                task->lastAllocedBank = bank;
-                task->addResidentPage(bank);
-                ++task->fallbackAllocs;
-            }
-            REFSCHED_PROBE(
-                probe_,
-                onPageAlloc({clock_ ? clock_->now() : 0,
-                             task ? task->pid() : -1, *pfn, true,
-                             task ? &task->possibleBanksVector
-                                  : nullptr}));
-            return pfn;
-        }
+        if (auto pfn = popBankCache(bank))
+            return grant(task, *pfn, bank, true);
     }
-    if (auto page = allocBlock(0)) {
-        ++fallbacks_;
-        ++pagesAllocated_;
-        if (task) {
-            const int bank = mapping_.bankOfFrame(*page);
-            task->lastAllocedBank = bank;
-            task->addResidentPage(bank);
-            ++task->fallbackAllocs;
-        }
-        REFSCHED_PROBE(
-            probe_,
-            onPageAlloc({clock_ ? clock_->now() : 0,
-                         task ? task->pid() : -1, *page, true,
-                         task ? &task->possibleBanksVector
-                              : nullptr}));
-        return page;
-    }
+    if (auto page = allocBlock(0))
+        return grant(task, *page, mapping_.bankOfFrame(*page), true);
     return std::nullopt;
 }
 

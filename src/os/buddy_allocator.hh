@@ -202,6 +202,11 @@ class BuddyAllocator
     /** Pop a page from @p bank's cache, if any. */
     std::optional<std::uint64_t> popBankCache(int bank);
 
+    /** Book @p pfn (in @p bank) as allocated to @p task (may be null
+     *  for a fallback), report it to the probe, and return it. */
+    std::uint64_t grant(Task *task, std::uint64_t pfn, int bank,
+                        bool fallback);
+
     const dram::AddressMapping &mapping_;
     std::uint64_t totalFrames_;
     std::uint64_t freeFrames_ = 0;

@@ -9,54 +9,40 @@ void
 CfsRunQueue::enqueue(Task *task)
 {
     REFSCHED_ASSERT(task != nullptr, "enqueue null task");
-    REFSCHED_ASSERT(!contains(task), "task already enqueued: pid ",
-                    task->pid());
-    auto *node =
-        tree_.insert(VruntimeKey{task->vruntime, task->pid()}, task);
-    nodes_.emplace(task, node);
+    const bool added = tasks_.emplace(keyOf(task), task).second;
+    REFSCHED_ASSERT(added, "task already enqueued: pid ", task->pid());
 }
 
 void
 CfsRunQueue::dequeue(Task *task)
 {
-    auto it = nodes_.find(task);
-    REFSCHED_ASSERT(it != nodes_.end(), "dequeue of absent task: pid ",
-                    task->pid());
-    tree_.erase(it->second);
-    nodes_.erase(it);
+    // The found entry must be this task: a vruntime written while
+    // enqueued would miss here or hit a different task.
+    const auto it = tasks_.find(keyOf(task));
+    REFSCHED_ASSERT(it != tasks_.end() && it->second == task,
+                    "dequeue of absent task: pid ", task->pid());
+    tasks_.erase(it);
 }
 
 bool
 CfsRunQueue::contains(const Task *task) const
 {
-    return nodes_.count(task) != 0;
+    const auto it = tasks_.find(keyOf(task));
+    return it != tasks_.end() && it->second == task;
 }
 
 Task *
 CfsRunQueue::first() const
 {
-    auto *node = tree_.leftmost();
-    return node ? node->value : nullptr;
-}
-
-void
-CfsRunQueue::forEachInOrder(
-    const std::function<bool(Task *)> &visit) const
-{
-    for (auto *node = tree_.leftmost(); node != nullptr;
-         node = tree_.next(node)) {
-        if (!visit(node->value))
-            return;
-    }
+    return tasks_.empty() ? nullptr : tasks_.begin()->second;
 }
 
 std::optional<Tick>
 CfsRunQueue::minVruntime() const
 {
-    auto *node = tree_.leftmost();
-    if (!node)
+    if (tasks_.empty())
         return std::nullopt;
-    return node->key.vruntime;
+    return tasks_.begin()->first.vruntime;
 }
 
 } // namespace refsched::os

@@ -1,27 +1,25 @@
 /**
  * @file
- * CFS-style per-CPU runqueue: tasks ordered by (vruntime, pid) in a
- * red-black tree, exactly like the Linux scheduler's cfs_rq (paper
- * section 2.4).  The leftmost node is the conventional pick; the
- * refresh-aware scheduler walks in-order from the left (Algorithm 3).
+ * CFS-style per-CPU runqueue: tasks ordered by (vruntime, pid), like
+ * the Linux scheduler's cfs_rq (paper section 2.4).  std::map is a
+ * red-black tree too.  The leftmost entry is the conventional pick;
+ * the refresh-aware scheduler walks in order from the left
+ * (Algorithm 3).
  */
 
 #ifndef REFSCHED_OS_CFS_RUNQUEUE_HH
 #define REFSCHED_OS_CFS_RUNQUEUE_HH
 
-#include <cstdint>
-#include <functional>
+#include <map>
 #include <optional>
-#include <unordered_map>
 
-#include "os/rbtree.hh"
 #include "os/task.hh"
 #include "simcore/types.hh"
 
 namespace refsched::os
 {
 
-/** Tree key: vruntime ordered, pid tie-broken for determinism. */
+/** Queue key: vruntime ordered, pid tie-broken for determinism. */
 struct VruntimeKey
 {
     Tick vruntime = 0;
@@ -36,12 +34,14 @@ struct VruntimeKey
     }
 };
 
+/**
+ * A task is found by its key {vruntime, pid}, so its vruntime must
+ * not change while it is enqueued (see Task::vruntime).
+ */
 class CfsRunQueue
 {
   public:
-    using Tree = RbTree<VruntimeKey, Task *>;
-
-    CfsRunQueue() = default;
+    using Map = std::map<VruntimeKey, Task *>;
 
     /** Add a runnable task (keyed by its current vruntime). */
     void enqueue(Task *task);
@@ -56,13 +56,6 @@ class CfsRunQueue
     Task *first() const;
 
     /**
-     * Visit tasks in vruntime order until @p visit returns false.
-     * Used by the refresh-aware pick (Algorithm 3's bounded walk).
-     */
-    void forEachInOrder(
-        const std::function<bool(Task *)> &visit) const;
-
-    /**
      * Smallest vruntime in the queue, or nullopt when empty.  An
      * empty queue deliberately has NO min vruntime: returning a
      * sentinel 0 would be indistinguishable from a real vruntime of
@@ -71,18 +64,20 @@ class CfsRunQueue
      */
     std::optional<Tick> minVruntime() const;
 
-    std::size_t size() const { return tree_.size(); }
-    bool empty() const { return tree_.empty(); }
+    /** In-order (vruntime, pid) walk; Algorithm 3 stops it early. */
+    Map::const_iterator begin() const { return tasks_.begin(); }
+    Map::const_iterator end() const { return tasks_.end(); }
 
-    /** Red-black invariants of the underlying tree (for tests). */
-    bool validate(std::string *why = nullptr) const
-    {
-        return tree_.validate(why);
-    }
+    std::size_t size() const { return tasks_.size(); }
+    bool empty() const { return tasks_.empty(); }
 
   private:
-    Tree tree_;
-    std::unordered_map<const Task *, Tree::Node *> nodes_;
+    static VruntimeKey keyOf(const Task *task)
+    {
+        return {task->vruntime, task->pid()};
+    }
+
+    Map tasks_;
 };
 
 } // namespace refsched::os

@@ -234,15 +234,15 @@ Scheduler::pickNextTask(int cpu, const std::vector<int> &refreshBanks)
             1ULL << (b % 64);
     }
 
-    // Algorithm 3: walk the red-black tree from the left, looking
-    // for a task with no data in the bank(s) to be refreshed,
-    // examining at most eta_thresh candidates.
+    // Algorithm 3: walk the runqueue from the left, looking for a
+    // task with no data in the bank(s) to be refreshed, examining at
+    // most eta_thresh candidates.
     Task *firstSchedEntity = nullptr;
     Task *found = nullptr;
     std::vector<Task *> walked;
     int count = 0;
 
-    rq.forEachInOrder([&](Task *p) {
+    for (const auto &[key, p] : rq) {
         ++count;
         if (count == 1)
             firstSchedEntity = p;
@@ -252,11 +252,12 @@ Scheduler::pickNextTask(int cpu, const std::vector<int> &refreshBanks)
                             residentIn(*p, refreshBanks)});
         if (clean) {
             found = p;
-            return false;
+            break;
         }
         walked.push_back(p);
-        return count < params_.etaThresh;
-    });
+        if (count >= params_.etaThresh)
+            break;
+    }
 
     if (found) {
         ++cleanPicks;

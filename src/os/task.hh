@@ -50,7 +50,12 @@ class Task
 
     TaskState state = TaskState::Runnable;
 
-    /** CFS virtual runtime, in ticks. */
+    /**
+     * CFS virtual runtime, in ticks.  Written only while the task is
+     * off every runqueue (Scheduler::wakeTask, the outgoing-task
+     * charge in Scheduler::onQuantumExpiry, the ScenarioDirector
+     * spawn): CfsRunQueue finds a task by {vruntime, pid}.
+     */
     Tick vruntime = 0;
 
     /**

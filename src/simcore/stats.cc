@@ -60,102 +60,6 @@ Average::renderJson() const
     return os.str();
 }
 
-Distribution::Distribution(double lo_, double hi_, std::size_t n)
-{
-    init(lo_, hi_, n);
-}
-
-void
-Distribution::init(double lo_, double hi_, std::size_t n)
-{
-    REFSCHED_ASSERT(hi_ > lo_ && n > 0, "bad distribution bounds");
-    lo = lo_;
-    hi = hi_;
-    width = (hi - lo) / static_cast<double>(n);
-    buckets.assign(n, 0);
-    reset();
-}
-
-void
-Distribution::sample(double v)
-{
-    if (count == 0) {
-        minV = maxV = v;
-    } else {
-        minV = std::min(minV, v);
-        maxV = std::max(maxV, v);
-    }
-    sum += v;
-    ++count;
-
-    if (v < lo) {
-        ++underflow;
-    } else if (v >= hi) {
-        ++overflow;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo) / width);
-        if (idx >= buckets.size())
-            idx = buckets.size() - 1;
-        ++buckets[idx];
-    }
-}
-
-double
-Distribution::quantile(double q) const
-{
-    if (count == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(count));
-    std::uint64_t seen = underflow;
-    if (seen >= target)
-        return lo;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        seen += buckets[i];
-        if (seen >= target)
-            return lo + (static_cast<double>(i) + 0.5) * width;
-    }
-    return hi;
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    underflow = overflow = 0;
-    count = 0;
-    sum = 0.0;
-    minV = maxV = 0.0;
-}
-
-std::string
-Distribution::render() const
-{
-    std::ostringstream os;
-    os << "mean=" << mean() << " min=" << minValue()
-       << " max=" << maxValue() << " n=" << count;
-    return os.str();
-}
-
-std::string
-Distribution::renderJson() const
-{
-    std::ostringstream os;
-    os << "{\"mean\": " << jsonNumber(mean())
-       << ", \"min\": " << jsonNumber(minValue())
-       << ", \"max\": " << jsonNumber(maxValue())
-       << ", \"count\": " << count
-       << ", \"lo\": " << jsonNumber(lo)
-       << ", \"hi\": " << jsonNumber(hi)
-       << ", \"underflow\": " << underflow
-       << ", \"overflow\": " << overflow << ", \"buckets\": [";
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        os << (i ? ", " : "") << buckets[i];
-    os << "]}";
-    return os.str();
-}
-
 void
 Histogram::sample(double v)
 {

@@ -87,46 +87,6 @@ class Average : public StatBase
 };
 
 /**
- * Fixed-bucket histogram with running min/max/mean.  Buckets are
- * linear between [lo, hi); out-of-range samples land in underflow /
- * overflow counters, so no sample is lost.
- */
-class Distribution : public StatBase
-{
-  public:
-    Distribution() : Distribution(0.0, 1.0, 1) {}
-    Distribution(double lo, double hi, std::size_t numBuckets);
-
-    void init(double lo, double hi, std::size_t numBuckets);
-    void sample(double v);
-
-    std::uint64_t samples() const { return count; }
-    double mean() const { return count ? sum / count : 0.0; }
-    double minValue() const { return count ? minV : 0.0; }
-    double maxValue() const { return count ? maxV : 0.0; }
-    const std::vector<std::uint64_t> &bucketCounts() const
-    {
-        return buckets;
-    }
-    std::uint64_t underflowCount() const { return underflow; }
-    std::uint64_t overflowCount() const { return overflow; }
-
-    /** Approximate p-quantile (0..1) from bucket boundaries. */
-    double quantile(double q) const;
-
-    void reset() override;
-    std::string render() const override;
-    std::string renderJson() const override;
-
-  private:
-    double lo = 0.0, hi = 1.0, width = 1.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t underflow = 0, overflow = 0;
-    std::uint64_t count = 0;
-    double sum = 0.0, minV = 0.0, maxV = 0.0;
-};
-
-/**
  * Log2-bucketed histogram for long-tailed quantities (latencies,
  * queue residencies): bucket b counts samples v with
  * floor(v) in [2^(b-1), 2^b), bucket 0 counts v < 1.  Needs no

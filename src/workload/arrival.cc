@@ -116,10 +116,12 @@ ArrivalProcess::next()
         now_ = stateUntil_;
     }
     ++generated_;
+    // Saturate like milliseconds(): a rare draw past 2^64 ticks
+    // lands on kMaxTick, which no run reaches, so it never arrives.
+    Tick tick = now_ < 0x1p64 ? static_cast<Tick>(now_) : kMaxTick;
     // Strictly increasing integer ticks: two arrivals can round to
     // the same picosecond; nudge forward so event ordering is total.
-    auto tick = static_cast<Tick>(now_);
-    if (tick <= lastTick_ && generated_ > 1)
+    if (tick <= lastTick_ && generated_ > 1 && lastTick_ != kMaxTick)
         tick = lastTick_ + 1;
     lastTick_ = tick;
     return tick;

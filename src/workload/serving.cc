@@ -21,6 +21,9 @@ ServingConfig::check() const
     if (meanGapTicks() < 1.0)
         fatal("serving load ", loadReqPerUs,
               " req/us exceeds one request per tick");
+    if (!(meanGapTicks() < 0x1p64))
+        fatal("serving load ", loadReqPerUs,
+              " req/us is below one request per 2^64 ticks");
     if (poolSize < 1)
         fatal("serving pool must be >= 1, got ", poolSize);
     if (queueCapacity < 0)

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "simcore/logging.hh"
@@ -52,6 +53,9 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 std::vector<cpu::TraceEntry>
 recordTrace(cpu::InstructionSource &source, std::uint64_t entries)
 {
+    if (entries > kMaxTraceEntries)
+        fatal("trace of ", entries, " entries exceeds the limit of ",
+              kMaxTraceEntries);
     std::vector<cpu::TraceEntry> out;
     out.reserve(entries);
     for (std::uint64_t i = 0; i < entries; ++i)
@@ -103,6 +107,17 @@ readTraceFile(const std::string &path)
     if (header.version != kVersion)
         fatal("unsupported trace version ", header.version, ": ",
               path);
+
+    // Check the count against the file before reserving for it.
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (ec)
+        fatal("cannot size trace file: ", path);
+    const std::uint64_t held =
+        (bytes - sizeof(header)) / sizeof(FileEntry);
+    if (header.count > held)
+        fatal("trace header claims ", header.count,
+              " entries but the file holds ", held, ": ", path);
 
     LoadedTrace out;
     out.baseCpi = header.baseCpi;

@@ -9,7 +9,8 @@
  * (the closest substitute for the paper's SPEC reference runs).
  *
  * File format (little-endian):
- *   16-byte header: magic "RSTR", u32 version, u64 entry count
+ *   24-byte header: magic "RSTR", u32 version, u64 entry count,
+ *                   f64 base CPI
  *   entries: u32 gap, u8 flags (bit0 write, bit1 sequential,
  *            bit2 dependent), u8[3] pad, u64 vaddr
  */
@@ -26,7 +27,12 @@
 namespace refsched::workload
 {
 
-/** Capture entries from @p source into an in-memory trace. */
+/** Most entries one recording may hold: 2^26, which is 1 GiB on
+ *  disk and as much again in memory. */
+inline constexpr std::uint64_t kMaxTraceEntries = 1ULL << 26;
+
+/** Capture entries from @p source into an in-memory trace; fatal()
+ *  when @p entries exceeds kMaxTraceEntries. */
 std::vector<cpu::TraceEntry> recordTrace(cpu::InstructionSource &source,
                                          std::uint64_t entries);
 
@@ -42,7 +48,8 @@ struct LoadedTrace
     double baseCpi = 0.5;
 };
 
-/** Read a trace file; fatal() on corrupt or unreadable input. */
+/** Read a trace file; fatal() on corrupt or unreadable input,
+ *  including a header that claims more entries than the file holds. */
 LoadedTrace readTraceFile(const std::string &path);
 
 /**

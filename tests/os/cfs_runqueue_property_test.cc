@@ -74,21 +74,17 @@ TEST(CfsRunQueuePropertyTest, RandomChurnMatchesSortedVector)
         // reference order, stopping exactly where asked.
         const std::size_t bound = rng.below(ref.size() + 2);
         std::vector<Task *> walked;
-        rq.forEachInOrder([&](Task *t) {
+        for (const auto &[key, t] : rq) {
             walked.push_back(t);
-            return walked.size() < bound;
-        });
+            if (walked.size() >= bound)
+                break;
+        }
         const std::size_t expect =
             ref.empty() ? 0 : std::min(std::max<std::size_t>(bound, 1),
                                        ref.size());
         ASSERT_EQ(walked.size(), expect);
         for (std::size_t i = 0; i < walked.size(); ++i)
             ASSERT_EQ(walked[i], ref[i]) << "walk position " << i;
-
-        if (op % 256 == 0) {
-            std::string why;
-            ASSERT_TRUE(rq.validate(&why)) << why;
-        }
     }
 }
 

@@ -45,7 +45,6 @@ TEST(CfsRunQueueTest, FirstIsMinimumVruntime)
     EXPECT_EQ(rq.first(), b.get());
     EXPECT_EQ(rq.minVruntime(), std::optional<Tick>(100));
     EXPECT_EQ(rq.size(), 3u);
-    EXPECT_TRUE(rq.validate());
 }
 
 TEST(CfsRunQueueTest, EqualVruntimeTieBrokenByPid)
@@ -110,10 +109,8 @@ TEST(CfsRunQueueTest, ForEachInOrderWalksByVruntime)
         rq.enqueue(tasks.back().get());
     }
     std::vector<Tick> seen;
-    rq.forEachInOrder([&](Task *t) {
+    for (const auto &[key, t] : rq)
         seen.push_back(t->vruntime);
-        return true;
-    });
     for (std::size_t i = 1; i < seen.size(); ++i)
         EXPECT_LE(seen[i - 1], seen[i]);
     EXPECT_EQ(seen.size(), 8u);
@@ -129,7 +126,9 @@ TEST(CfsRunQueueTest, ForEachInOrderStopsEarly)
         rq.enqueue(tasks.back().get());
     }
     int visited = 0;
-    rq.forEachInOrder([&](Task *) { return ++visited < 3; });
+    for ([[maybe_unused]] const auto &entry : rq)
+        if (++visited == 3)
+            break;
     EXPECT_EQ(visited, 3);
 }
 
@@ -142,7 +141,6 @@ TEST(CfsRunQueueTest, ManyTasksStayOrdered)
                                  static_cast<Tick>((i * 37) % 101)));
         rq.enqueue(tasks.back().get());
     }
-    EXPECT_TRUE(rq.validate());
     // Dequeue-all in order yields a sorted sequence.
     Tick last = 0;
     while (!rq.empty()) {

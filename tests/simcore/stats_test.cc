@@ -42,61 +42,6 @@ TEST(AverageTest, MeanAndCount)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(DistributionTest, BucketsAndOutliers)
-{
-    Distribution d(0.0, 100.0, 10);
-    d.sample(5.0);    // bucket 0
-    d.sample(15.0);   // bucket 1
-    d.sample(95.0);   // bucket 9
-    d.sample(-1.0);   // underflow
-    d.sample(100.0);  // overflow (hi is exclusive)
-    d.sample(150.0);  // overflow
-
-    EXPECT_EQ(d.samples(), 6u);
-    EXPECT_EQ(d.bucketCounts()[0], 1u);
-    EXPECT_EQ(d.bucketCounts()[1], 1u);
-    EXPECT_EQ(d.bucketCounts()[9], 1u);
-    EXPECT_EQ(d.underflowCount(), 1u);
-    EXPECT_EQ(d.overflowCount(), 2u);
-    EXPECT_DOUBLE_EQ(d.minValue(), -1.0);
-    EXPECT_DOUBLE_EQ(d.maxValue(), 150.0);
-}
-
-TEST(DistributionTest, MeanTracksAllSamples)
-{
-    Distribution d(0.0, 10.0, 5);
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(100.0);  // overflow still counted in the mean
-    EXPECT_DOUBLE_EQ(d.mean(), (2.0 + 4.0 + 100.0) / 3.0);
-}
-
-TEST(DistributionTest, QuantileApproximation)
-{
-    Distribution d(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        d.sample(static_cast<double>(i));
-    EXPECT_NEAR(d.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(d.quantile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(d.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(DistributionTest, ResetClearsEverything)
-{
-    Distribution d(0.0, 10.0, 2);
-    d.sample(5.0);
-    d.reset();
-    EXPECT_EQ(d.samples(), 0u);
-    EXPECT_EQ(d.bucketCounts()[1], 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-}
-
-TEST(DistributionTest, BadBoundsPanic)
-{
-    EXPECT_THROW(Distribution(10.0, 10.0, 4), PanicError);
-    EXPECT_THROW(Distribution(0.0, 10.0, 0), PanicError);
-}
-
 TEST(HistogramTest, Log2Bucketing)
 {
     Histogram h;
@@ -275,15 +220,12 @@ TEST(StatRegistryTest, DumpJsonRendersEveryStatType)
     StatRegistry reg;
     Scalar s;
     Average a;
-    Distribution d(0.0, 10.0, 2);
     Histogram h;
     s += 3;
     a.sample(4.0);
-    d.sample(5.0);
     h.sample(6.0);
     reg.add("scalar", &s);
     reg.add("avg", &a);
-    reg.add("dist", &d);
     reg.add("hist", &h);
 
     std::ostringstream os;
@@ -291,11 +233,9 @@ TEST(StatRegistryTest, DumpJsonRendersEveryStatType)
     const std::string json = os.str();
     EXPECT_NE(json.find("\"scalar\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"avg\": {\"mean\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"dist\": {\"mean\": 5"), std::string::npos);
     EXPECT_NE(json.find("\"hist\": {\"mean\": 6"), std::string::npos);
     // Keys are emitted sorted (std::map order).
-    EXPECT_LT(json.find("\"avg\""), json.find("\"dist\""));
-    EXPECT_LT(json.find("\"dist\""), json.find("\"hist\""));
+    EXPECT_LT(json.find("\"avg\""), json.find("\"hist\""));
     EXPECT_LT(json.find("\"hist\""), json.find("\"scalar\""));
 }
 

@@ -152,5 +152,14 @@ TEST(ArrivalTest, StartTickOffsetsTheSequence)
         ASSERT_EQ(a.next() + 1000000, b.next());
 }
 
+TEST(ArrivalTest, DrawPastTickRangeSaturates)
+{
+    // Starting 10 ticks short of the range, every draw of a 1e18-tick
+    // mean gap lands past 2^64: it saturates and never wraps.
+    ArrivalProcess p(ArrivalShape{}, 1e18, 7, kMaxTick - 10);
+    EXPECT_EQ(p.next(), kMaxTick);
+    EXPECT_EQ(p.next(), kMaxTick);
+}
+
 } // namespace
 } // namespace refsched::workload

@@ -58,6 +58,16 @@ TEST(ServingConfigTest, ParseRejectsMalformedNumbers)
                      0.15);
 }
 
+TEST(ServingConfigTest, ParseRejectsLoadPastTickRange)
+{
+    // A mean gap of 1e306 ticks does not fit in a Tick.
+    EXPECT_THROW(ServingConfig::parse("load=1e-300"), FatalError);
+    EXPECT_THROW(ServingConfig::parse("load=1e-14"), FatalError);
+    // 1e18 ticks still fits.
+    EXPECT_DOUBLE_EQ(ServingConfig::parse("load=1e-12").meanGapTicks(),
+                     1e18);
+}
+
 TEST(ServingConfigTest, MeanGapMatchesOfferedLoad)
 {
     ServingConfig cfg;

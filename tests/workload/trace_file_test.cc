@@ -130,5 +130,33 @@ TEST_F(TraceFileTest, TruncatedFileIsFatal)
     EXPECT_THROW(readTraceFile(path_), FatalError);
 }
 
+TEST_F(TraceFileTest, RecordPastLimitIsFatal)
+{
+    // Rejected before anything is reserved or generated.
+    SyntheticTraceGenerator gen(profile(), 3, 8 * kMiB);
+    EXPECT_THROW(recordTrace(gen, kMaxTraceEntries + 1), FatalError);
+    EXPECT_THROW(recordTrace(gen, 100000000000000ULL), FatalError);
+}
+
+TEST_F(TraceFileTest, HeaderCountPastFileSizeIsFatal)
+{
+    SyntheticTraceGenerator gen(profile(), 3, 8 * kMiB);
+    writeTraceFile(path_, recordTrace(gen, 10), 0.5);
+    // Overwrite the header's u64 entry count (bytes 8..15).
+    const auto claim = [&](std::uint64_t count) {
+        std::FILE *f = std::fopen(path_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 8, SEEK_SET);
+        std::fwrite(&count, sizeof(count), 1, f);
+        std::fclose(f);
+    };
+    claim(1ULL << 60);
+    EXPECT_THROW(readTraceFile(path_), FatalError);
+    claim(11);
+    EXPECT_THROW(readTraceFile(path_), FatalError);
+    claim(10);
+    EXPECT_EQ(readTraceFile(path_).entries.size(), 10u);
+}
+
 } // namespace
 } // namespace refsched::workload

@@ -1,14 +1,15 @@
 # ctest driver for the input contract of refsched_cli, the figure
-# benches and golden_diff: malformed or out-of-range values and
+# benches, golden_diff and trace_tool: malformed or out-of-range values and
 # unknown flags stop the tool with exit status 1 and exactly one
 # "fatal:" line on stderr -- never an abort, an uncaught exception, a
 # hang or a silent default.
 #
 # Usage (see tools/CMakeLists.txt):
 #   cmake -DCLI=<refsched_cli> -DBENCH=<fig10_codesign_ipc>
-#         -DGOLDEN=<golden_diff> -DOUT=<dir> -P cli_input_smoke.cmake
+#         -DGOLDEN=<golden_diff> -DTRACE_TOOL=<trace_tool> -DOUT=<dir>
+#         -P cli_input_smoke.cmake
 
-foreach(var CLI BENCH GOLDEN OUT)
+foreach(var CLI BENCH GOLDEN TRACE_TOOL OUT)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "cli_input_smoke.cmake needs -D${var}=...")
     endif()
@@ -26,11 +27,14 @@ set(cases
     "CLI --shards 2"       # a removed flag is just an unknown option
     "CLI --serving arrival=poisson,load=abc,pool=4,queue=8,lines=1"
     "CLI --serving arrival=poisson,load=1,pool=4x,queue=8,lines=1"
+    # A load so low its mean gap does not fit in a tick count.
+    "CLI --workload WL-1 --policy co-design --serving arrival=poisson,load=1e-300,pool=4,queue=8,lines=1"
     "CLI --scenario ${OUT}/bad_quantum.scenario"
     "BENCH --jobs abc"     # the benches share the CLI's parser
     "BENCH --scale 3"      # a timeScale the DRAM model rejects
     "BENCH --bogus"
     "GOLDEN jobs-check --warmup -1"
+    "TRACE_TOOL record mcf 100000000000000 ${OUT}/huge.trace"
 )
 
 foreach(label IN LISTS cases)
