@@ -80,14 +80,32 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
+BM_GeometricSample(benchmark::State &state)
+{
+    // One instruction-gap draw at mcf's memOpFraction and the trace
+    // generator's clamp: the table path plus its rare log1p fallback.
+    const GeometricSampler gaps(0.35, 4096);
+    Rng rng(8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gaps.sample(rng));
+}
+BENCHMARK(BM_GeometricSample);
+
+/** Benchmark names indexed by BM_TraceGeneration's argument. */
+constexpr const char *kTraceProfiles[] = {"mcf", "povray"};
+
+void
 BM_TraceGeneration(benchmark::State &state)
 {
-    const auto &prof = workload::profileByName("mcf");
+    // mcf is the pointer-chasing mix, povray the cache-resident one.
+    const auto &prof = workload::profileByName(
+        kTraceProfiles[static_cast<std::size_t>(state.range(0))]);
     workload::SyntheticTraceGenerator gen(prof, 7, 32 * kMiB);
+    state.SetLabel(prof.name);
     for (auto _ : state)
         benchmark::DoNotOptimize(gen.next());
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK(BM_TraceGeneration)->Arg(0)->Arg(1);
 
 void
 BM_RefreshSchedulerPop(benchmark::State &state)

@@ -12,6 +12,10 @@
  *   events           events executed by the event queue
  *   events/quantum   executed events per simulated scheduling quantum
  *   Mticks/s         simulated ticks per wall second, in millions
+ *   instrs           instructions committed in the measured quanta
+ *   Minstr/s         instrs per wall second of the measured quanta,
+ *                    in millions: simulated work per host second,
+ *                    which ranks rows that simulate different work
  *
  * Tables are archived through the standard --json flag (e.g.
  * `--json perf.json`; tools/perf_baseline.json is such an archive).
@@ -30,7 +34,8 @@
  * PCT percent and Mticks/s may drop by the same factor (default 20;
  * faster is never a failure; --events-only skips both host-speed
  * checks for heterogeneous machines).  Exits non-zero on any
- * regression.
+ * regression.  The instrs and Minstr/s columns are reported but not
+ * gated, so a baseline archived before they existed still checks.
  */
 
 #include <chrono>
@@ -103,6 +108,8 @@ struct SmokeResult
     std::uint64_t events = 0;
     double eventsPerQuantum = 0.0;
     double mticksPerSec = 0.0;
+    std::uint64_t instrs = 0;
+    double minstrPerSec = 0.0;
 };
 
 SmokeResult
@@ -118,7 +125,8 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
 
     core::System sys(cfg);
     const auto t0 = std::chrono::steady_clock::now();
-    sys.run(opts.warmupQuanta, opts.measureQuanta);
+    const core::Metrics m =
+        sys.run(opts.warmupQuanta, opts.measureQuanta);
     const auto t1 = std::chrono::steady_clock::now();
 
     SmokeResult r;
@@ -135,6 +143,12 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
     r.mticksPerSec = r.wallMs > 0.0
         ? static_cast<double>(sys.eventQueue().now())
             / (r.wallMs * 1e3)  // ticks/ms -> Mticks/s
+        : 0.0;
+    for (const auto &t : m.tasks)
+        r.instrs += t.instructions;
+    const double measureMs = sys.profile().measureMs;
+    r.minstrPerSec = measureMs > 0.0
+        ? static_cast<double>(r.instrs) / (measureMs * 1e3)
         : 0.0;
     return r;
 }
@@ -287,13 +301,16 @@ try {
         results.push_back(runConfig(sc, opts));
 
     core::Table table({"config", "policy", "simMs", "wallMs",
-                       "events", "events/quantum", "Mticks/s"});
+                       "events", "events/quantum", "Mticks/s",
+                       "instrs", "Minstr/s"});
     for (const auto &r : results) {
         table.addRow({r.name, r.policy, core::fmt(r.simMs, 2),
                       core::fmt(r.wallMs, 2),
                       std::to_string(r.events),
                       core::fmt(r.eventsPerQuantum, 1),
-                      core::fmt(r.mticksPerSec, 2)});
+                      core::fmt(r.mticksPerSec, 2),
+                      std::to_string(r.instrs),
+                      core::fmt(r.minstrPerSec, 2)});
     }
     std::cout << "Simulation performance smoke (WL-1, 32 Gb, scale "
               << opts.timeScale << ")\n\n";

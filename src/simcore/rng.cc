@@ -56,23 +56,132 @@ Rng::reseed(std::uint64_t seed)
         s[0] = 1;
 }
 
-std::uint64_t
-Rng::geometric(double p, std::uint64_t maxGap)
+namespace
 {
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return maxGap;
-    // Inverse-CDF sampling: floor(log(U) / log(1-p)).
-    if (p != geomP_) {
-        geomP_ = p;
-        geomLogQ_ = std::log1p(-p);
+
+/** Number of 53-bit draws: m ranges over [0, kSpan). */
+constexpr std::uint64_t kSpan = std::uint64_t{1} << 53;
+constexpr std::uint64_t kBucketSpan =
+    std::uint64_t{1} << GeometricSampler::kBucketShift;
+
+} // namespace
+
+GeometricSampler::GeometricSampler(double p, std::uint64_t maxGap)
+    : p_(p), maxGap_(maxGap), logQ_(std::log1p(-p))
+{
+    const std::size_t buckets = table_.size();
+    std::size_t crowded = buckets;  // first bucket with >= 2 thresholds
+    if (p_ > 0.0 && p_ < 1.0) {
+        thresholds_.reserve(buckets + 1);
+        for (std::uint64_t k = 1; k <= maxGap_; ++k) {
+            const std::uint64_t t = firstAtLeast(k);
+            if (t >= kSpan)
+                break;
+            if (!thresholds_.empty()
+                && (t >> kBucketShift)
+                    <= (thresholds_.back() >> kBucketShift)) {
+                crowded = static_cast<std::size_t>(t >> kBucketShift);
+                break;
+            }
+            thresholds_.push_back(t);
+        }
     }
-    const double u = real();
-    const double g = std::floor(std::log1p(-u) / geomLogQ_);
-    if (g >= static_cast<double>(maxGap))
-        return maxGap;
+
+    // Up to the crowded bucket, bucket b holds f(start of b), which
+    // is f(0) plus the thresholds below b, and its own threshold.
+    const std::uint64_t base = reference(0);
+    constexpr Bucket kFallback{0, UINT64_MAX, 0};
+    std::size_t b = 0;
+    for (std::size_t i = 0; i <= thresholds_.size(); ++i) {
+        const bool last = i == thresholds_.size();
+        const std::size_t own = last
+            ? crowded
+            : static_cast<std::size_t>(thresholds_[i] >> kBucketShift);
+        for (; b < own; ++b)
+            table_[b] = {UINT64_MAX, UINT64_MAX, base + i};
+        if (!last && b < crowded) {
+            const std::uint64_t t = thresholds_[i];
+            table_[b++] = {t > kGuard ? t - kGuard : 0, t + kGuard + 1,
+                           base + i};
+        }
+    }
+    for (; b < buckets; ++b)
+        table_[b] = kFallback;
+
+    // A threshold's guard that reaches into a neighbouring bucket
+    // sends that whole bucket to the reference formula.
+    for (const std::uint64_t t : thresholds_) {
+        const std::size_t own = static_cast<std::size_t>(t >> kBucketShift);
+        if (t >= kGuard && ((t - kGuard) >> kBucketShift) != own)
+            table_[own - 1] = kFallback;
+        if (((t + kGuard) >> kBucketShift) != own && own + 1 < buckets)
+            table_[own + 1] = kFallback;
+    }
+}
+
+std::uint64_t
+GeometricSampler::reference(std::uint64_t m) const
+{
+    if (p_ >= 1.0)
+        return 0;
+    if (!(p_ > 0.0))
+        return maxGap_;
+    // Inverse-CDF sampling: floor(log(U) / log(1-p)).
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    const double g = std::floor(std::log1p(-u) / logQ_);
+    if (g >= static_cast<double>(maxGap_))
+        return maxGap_;
     return static_cast<std::uint64_t>(g);
+}
+
+std::uint64_t
+GeometricSampler::firstAtLeast(std::uint64_t k) const
+{
+    // Start at the closed form (1 - q^k) * 2^53, which lands within a
+    // few grid points, then gallop to a bracket lo < t <= hi with
+    // f(lo) < k <= f(hi) and bisect it.
+    const double est =
+        -std::expm1(static_cast<double>(k) * logQ_) * 0x1.0p53;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = kSpan - 1;
+    const std::uint64_t m0 = est <= 0.0 ? 0
+        : est >= static_cast<double>(kSpan - 1)
+        ? kSpan - 1
+        : static_cast<std::uint64_t>(est);
+    if (reference(m0) >= k) {
+        hi = m0;
+        for (std::uint64_t step = 1;; step *= 2) {
+            if (hi == 0)
+                return 0;
+            const std::uint64_t probe = hi > step ? hi - step : 0;
+            if (reference(probe) < k) {
+                lo = probe;
+                break;
+            }
+            hi = probe;
+        }
+    } else {
+        lo = m0;
+        for (std::uint64_t step = 1;; step *= 2) {
+            if (lo == kSpan - 1)
+                return kSpan;
+            const std::uint64_t probe =
+                kSpan - 1 - lo > step ? lo + step : kSpan - 1;
+            if (reference(probe) >= k) {
+                hi = probe;
+                break;
+            }
+            lo = probe;
+        }
+    }
+    while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (reference(mid) >= k)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
 }
 
 } // namespace refsched

@@ -11,7 +11,9 @@
 #ifndef REFSCHED_SIMCORE_RNG_HH
 #define REFSCHED_SIMCORE_RNG_HH
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 namespace refsched
 {
@@ -153,13 +155,6 @@ class Rng
     /** Bernoulli trial with success probability @p p. */
     bool bernoulli(double p) { return real() < p; }
 
-    /**
-     * Geometric "gap" sample: number of failures before the first
-     * success with success probability @p p, clamped to @p maxGap.
-     * Used for instruction gaps between memory operations.
-     */
-    std::uint64_t geometric(double p, std::uint64_t maxGap = 100000);
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -168,11 +163,92 @@ class Rng
     }
 
     std::uint64_t s[4];
+};
 
-    /** geometric() is called with the same p for a whole trace
-     *  stream; cache log1p(-p) instead of recomputing per sample. */
-    double geomP_ = -1.0;
-    double geomLogQ_ = 0.0;
+/**
+ * Geometric "gap" sampler: the number of failures before the first
+ * success with success probability p, clamped to maxGap.  Used for
+ * instruction gaps between memory operations.
+ *
+ * The distribution is defined by the inverse-CDF formula
+ *
+ *     f(m) = min(floor(log1p(-u) / log1p(-p)), maxGap),  u = m * 2^-53
+ *
+ * of one 53-bit draw m = Rng::next() >> 11 (the draw Rng::real()
+ * consumes).  reference() evaluates it directly; sample() returns the
+ * same integer for every m from a 256-bucket table indexed by the top
+ * 8 bits of m, so the common draw costs one load and one compare
+ * instead of a log1p.
+ *
+ * f is non-decreasing in m and steps at thresholds t_k, the smallest
+ * m with f(m) >= k.  A bucket holding at most one threshold stores
+ * f at its start and that threshold.  Draws fall back to reference()
+ * in a bucket holding two or more thresholds, within kGuard grid
+ * points of any threshold, and from the first such crowded bucket on
+ * (the gaps past the table).  The guard keeps the table exact even
+ * though log1p is only faithfully rounded: the computed f can
+ * disagree with the exact floor only within a couple of grid points
+ * of a threshold (DESIGN.md, "Gap sampler").
+ */
+class GeometricSampler
+{
+  public:
+    /** Draws within this many grid points of a threshold use the
+     *  reference formula. */
+    static constexpr std::uint64_t kGuard = 1024;
+    static constexpr int kBucketBits = 8;
+    /** Shift from a 53-bit draw to its bucket index. */
+    static constexpr int kBucketShift = 53 - kBucketBits;
+
+    /** Builds the table (a few reference evaluations per threshold).
+     *  p >= 1 always yields 0 and p <= 0 always yields @p maxGap. */
+    GeometricSampler(double p, std::uint64_t maxGap);
+
+    /** One gap; consumes exactly one Rng::next(). */
+    std::uint64_t sample(Rng &rng) const { return at(rng.next() >> 11); }
+
+    /** The gap for the 53-bit draw @p m, through the table. */
+    std::uint64_t
+    at(std::uint64_t m) const
+    {
+        const Bucket &b = table_[m >> kBucketShift];
+        if (m < b.below)
+            return b.value;
+        if (m >= b.above)
+            return b.value + 1;
+        return reference(m);
+    }
+
+    /** f(m) evaluated with log1p: the definition sample() matches. */
+    std::uint64_t reference(std::uint64_t m) const;
+
+    /** Tabulated thresholds t_1 < t_2 < ..., ascending. */
+    const std::vector<std::uint64_t> &thresholds() const
+    {
+        return thresholds_;
+    }
+
+    double p() const { return p_; }
+    std::uint64_t maxGap() const { return maxGap_; }
+
+  private:
+    /** Draws below `below` map to value, draws at or above `above`
+     *  to value + 1, the rest to reference(). */
+    struct Bucket
+    {
+        std::uint64_t below;
+        std::uint64_t above;
+        std::uint64_t value;
+    };
+
+    /** Smallest m with reference(m) >= k, or 2^53 if there is none. */
+    std::uint64_t firstAtLeast(std::uint64_t k) const;
+
+    double p_;
+    std::uint64_t maxGap_;
+    double logQ_;
+    std::vector<std::uint64_t> thresholds_;
+    std::array<Bucket, std::size_t{1} << kBucketBits> table_;
 };
 
 } // namespace refsched

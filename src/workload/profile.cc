@@ -112,7 +112,7 @@ BenchmarkProfile::classify(double mpki)
 void
 BenchmarkProfile::check() const
 {
-    if (memOpFraction <= 0.0 || memOpFraction >= 1.0)
+    if (!(memOpFraction > 0.0 && memOpFraction < 1.0))
         fatal(name, ": memOpFraction out of (0,1)");
     if (writeFraction < 0.0 || writeFraction > 1.0)
         fatal(name, ": writeFraction out of [0,1]");

@@ -1,11 +1,40 @@
 #include "workload/trace_generator.hh"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <mutex>
 
 #include "simcore/logging.hh"
 
 namespace refsched::workload
 {
+
+namespace
+{
+
+/** Clamp on the instruction gap between memory operations. */
+constexpr std::uint64_t kMaxGap = 4096;
+
+/**
+ * The gap sampler for @p memOpFraction.  A sampler is immutable and
+ * costs a few microseconds to build, against well under one for the
+ * rest of a generator, so each fraction's is built once, on first
+ * use, and shared by every generator in the process (the builtin
+ * profiles use four fractions).  Map nodes never move, so the
+ * returned reference stays valid.
+ */
+const GeometricSampler &
+gapSampler(double memOpFraction)
+{
+    static std::mutex mutex;
+    static std::map<double, GeometricSampler> samplers;
+    const std::lock_guard<std::mutex> lock(mutex);
+    return samplers.try_emplace(memOpFraction, memOpFraction, kMaxGap)
+        .first->second;
+}
+
+} // namespace
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const BenchmarkProfile &profile, std::uint64_t seed,
@@ -14,10 +43,17 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
       baseFootprint_(std::max(footprintBytes, profile.hotsetBytes)),
       profile_(profile),
       footprint_(baseFootprint_),
-      rng_(seed)
+      rng_(seed),
+      accessShift_(std::countr_zero(profile.accessBytes))
 {
     profile_.check();
     base_.phases.check();
+    gaps_ = &gapSampler(profile_.memOpFraction);
+    for (const PhaseSpec &spec : base_.phases.phases) {
+        phaseGaps_.push_back(
+            &gapSampler(profileByName(spec.profile).memOpFraction));
+    }
+
     // Spread the stream cursors across the footprint, like the
     // separate operand arrays of a streaming kernel.  Each cursor is
     // additionally staggered by one page: quarter-footprint offsets
@@ -41,6 +77,7 @@ SyntheticTraceGenerator::applyPhase(std::size_t idx)
     const PhaseSpec &spec = base_.phases.phases[idx];
     phaseIdx_ = idx;
     macroInstrsLeft_ = spec.instrs;
+    gaps_ = phaseGaps_[idx];
 
     // The phase contributes its pattern mixture and intensity; the
     // task keeps its identity (hot set, access granularity).
@@ -76,8 +113,7 @@ SyntheticTraceGenerator::next()
 
     cpu::TraceEntry e;
     // Gap between memory ops: geometric with mean (1-f)/f.
-    e.gap = static_cast<std::uint32_t>(
-        rng_.geometric(profile_.memOpFraction, 4096));
+    e.gap = static_cast<std::uint32_t>(gaps_->sample(rng_));
     e.isWrite = rng_.bernoulli(profile_.writeFraction);
 
     if (!base_.phases.empty()) {
@@ -96,9 +132,8 @@ SyntheticTraceGenerator::next()
         phaseInstrsLeft_ -= std::min(phaseInstrsLeft_, consumed);
         if (!inMemPhase_) {
             // Compute phase: everything hits the hot set.
-            e.vaddr = rng_.below(profile_.hotsetBytes
-                                 / profile_.accessBytes)
-                * profile_.accessBytes;
+            e.vaddr = rng_.below(profile_.hotsetBytes >> accessShift_)
+                << accessShift_;
             return e;
         }
     }
@@ -113,12 +148,11 @@ SyntheticTraceGenerator::next()
         e.vaddr = cur;
         e.sequential = true;
     } else if (which < profile_.seqFraction + profile_.randomFraction) {
-        e.vaddr = rng_.below(footprint_ / profile_.accessBytes)
-            * profile_.accessBytes;
+        e.vaddr = rng_.below(footprint_ >> accessShift_) << accessShift_;
         e.dependent = rng_.bernoulli(profile_.dependentFraction);
     } else {
-        e.vaddr = rng_.below(profile_.hotsetBytes / profile_.accessBytes)
-            * profile_.accessBytes;
+        e.vaddr = rng_.below(profile_.hotsetBytes >> accessShift_)
+            << accessShift_;
     }
     return e;
 }

@@ -72,6 +72,15 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
     BenchmarkProfile profile_;
     std::uint64_t footprint_;
     Rng rng_;
+
+    /** Gap sampler of the current phase, and of each macro-phase;
+     *  both point into the process-wide set of samplers. */
+    const GeometricSampler *gaps_ = nullptr;
+    std::vector<const GeometricSampler *> phaseGaps_;
+
+    /** log2(accessBytes), which is the same in every phase. */
+    int accessShift_;
+
     std::uint64_t streamCursor_[kNumStreams];
     int nextStream_ = 0;
 

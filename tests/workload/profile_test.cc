@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "simcore/logging.hh"
 
 namespace refsched::workload
@@ -74,6 +76,8 @@ TEST(ProfileTest, CheckRejectsNonsense)
 {
     BenchmarkProfile p = profileByName("mcf");
     p.memOpFraction = 1.5;
+    EXPECT_THROW(p.check(), FatalError);
+    p.memOpFraction = std::nan("");
     EXPECT_THROW(p.check(), FatalError);
 
     p = profileByName("mcf");

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "simcore/logging.hh"
 
 namespace refsched::workload
@@ -170,6 +175,104 @@ TEST(TraceGeneratorTest, StreamCursorsWrapAround)
     SyntheticTraceGenerator g(p, 9, fp);
     for (int i = 0; i < 100000; ++i)
         ASSERT_LT(g.next().vaddr, fp);
+}
+
+/** FNV-1a over every field of the first @p n entries of @p gen. */
+std::uint64_t
+streamDigest(SyntheticTraceGenerator &gen, int n)
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001B3ULL;
+        }
+    };
+    for (int i = 0; i < n; ++i) {
+        const auto e = gen.next();
+        mix(e.vaddr);
+        mix(e.gap);
+        mix((e.isWrite ? 1U : 0U) | (e.sequential ? 2U : 0U)
+            | (e.dependent ? 4U : 0U));
+    }
+    return h;
+}
+
+constexpr int kPinnedEntries = 200000;
+
+/**
+ * Pins the exact entry stream of every built-in profile.  The digests
+ * were recorded from the log1p-per-draw gap sampler; any change to the
+ * draw order, the gap sampler or the address arithmetic fails here,
+ * before it reaches a system-level golden trace.
+ */
+TEST(TraceGeneratorTest, BuiltinStreamsArePinned)
+{
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"GemsFDTD", 0x3ab055e146dbd28cULL},
+        {"bwaves", 0xef33f94ffdc8af81ULL},
+        {"h264ref", 0x06470dc8a7f69733ULL},
+        {"mcf", 0xc55509175b1c7158ULL},
+        {"npb_ua", 0x1b719d2927d033d7ULL},
+        {"povray", 0xd3677cac8c59af2eULL},
+        {"stream", 0x76c1d3481707ead7ULL},
+    };
+    ASSERT_EQ(std::size(pinned), builtinProfileNames().size());
+    for (const auto &[name, digest] : pinned) {
+        const auto &prof = profileByName(name);
+        SyntheticTraceGenerator gen(prof, 1009, prof.footprintBytes / 64);
+        const std::uint64_t got = streamDigest(gen, kPinnedEntries);
+        EXPECT_EQ(got, digest) << name << ": 0x" << std::hex << got;
+    }
+}
+
+/** The same pin for a macro-phase schedule (the generator switches
+ *  pattern mixture, intensity and footprint mid-stream) and for a
+ *  micro-phased profile (hot-set-only compute phases). */
+TEST(TraceGeneratorTest, PhasedStreamsArePinned)
+{
+    BenchmarkProfile macro = profileByName("mcf");
+    macro.phases = PhaseSchedule::parse(
+        "mcf@40000@1|povray@25000@0.5|stream@30000@2|GemsFDTD@20000@1");
+    SyntheticTraceGenerator a(macro, 77, 16 * kMiB);
+    const std::uint64_t gotMacro = streamDigest(a, kPinnedEntries);
+    EXPECT_EQ(gotMacro, 0xb5abefa10f95e8b4ULL) << "0x" << std::hex << gotMacro;
+
+    BenchmarkProfile micro = testProfile();
+    micro.memPhaseInstrs = 30000;
+    micro.computePhaseInstrs = 20000;
+    SyntheticTraceGenerator b(micro, 78, 16 * kMiB);
+    const std::uint64_t gotMicro = streamDigest(b, kPinnedEntries);
+    EXPECT_EQ(gotMicro, 0x53716f82645dc36bULL) << "0x" << std::hex << gotMicro;
+}
+
+TEST(TraceGeneratorTest, ConcurrentConstructionMatchesSequential)
+{
+    // Generators share one gap sampler per memOpFraction across the
+    // process; building them from several threads at once (as
+    // --jobs workers do) must neither race nor change a stream.
+    auto digestFor = [](int i) {
+        BenchmarkProfile p = testProfile();
+        p.memOpFraction = 0.2 + 0.01 * (i % 5);  // some shared, some not
+        SyntheticTraceGenerator gen(p, 500 + static_cast<unsigned>(i),
+                                    16 * kMiB);
+        return streamDigest(gen, 2000);
+    };
+    constexpr int kThreads = 4, kPerThread = 8;
+    std::vector<std::uint64_t> parallel(kThreads * kPerThread);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (int j = 0; j < kPerThread; ++j) {
+                const int i = t * kPerThread + j;
+                parallel[static_cast<std::size_t>(i)] = digestFor(i);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    for (int i = 0; i < kThreads * kPerThread; ++i)
+        EXPECT_EQ(parallel[static_cast<std::size_t>(i)], digestFor(i)) << i;
 }
 
 } // namespace
