@@ -36,13 +36,13 @@ fractionOnOneBank(dram::DensityGb density,
     os::BuddyAllocator buddy(mapping);
     os::VirtualMemory vm(mapping, buddy);
 
-    os::Task task(1, profile.name, mapping.totalBanks());
+    const auto pageBytes = mapping.pageBytes();
+    const auto pages = divCeil(profile.footprintBytes, pageBytes);
+    os::Task task(1, profile.name, mapping.totalBanks(), pages);
     std::fill(task.possibleBanksVector.begin(),
               task.possibleBanksVector.end(), false);
     task.allowBank(0);
 
-    const auto pageBytes = mapping.pageBytes();
-    const auto pages = divCeil(profile.footprintBytes, pageBytes);
     for (std::uint64_t p = 0; p < pages; ++p)
         vm.translate(task, p * pageBytes);
 

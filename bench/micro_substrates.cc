@@ -1,20 +1,23 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot substrate operations:
- * the CFS runqueue, buddy allocator, event queue, cache, trace
- * generation, and memory-controller throughput.  These guard against
+ * the CFS runqueue, buddy allocator, event queue, cache and cache
+ * hierarchy, address translation, trace generation, and
+ * memory-controller throughput.  These guard against
  * performance regressions in the simulator itself.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "cache/cache_hierarchy.hh"
 #include "dram/refresh_scheduler.hh"
 #include "memctrl/memory_controller.hh"
 #include "os/buddy_allocator.hh"
 #include "os/cfs_runqueue.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
+#include "os/virtual_memory.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/rng.hh"
 #include "workload/trace_generator.hh"
@@ -78,6 +81,45 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_HierarchyL1Hit(benchmark::State &state)
+{
+    // Table 1 hierarchy; 256 lines cycled through one core's 32 KiB
+    // L1 (512 lines), so every measured access is an L1 hit.
+    cache::CacheHierarchy caches(1, cache::HierarchyParams{});
+    constexpr Addr kLines = 256;
+    for (Addr i = 0; i < kLines; ++i)
+        caches.access(0, 1, i * 64, false);
+    Addr i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            caches.access(0, 1, (i++ % kLines) * 64, false));
+    }
+}
+BENCHMARK(BM_HierarchyL1Hit);
+
+void
+BM_Translate(benchmark::State &state)
+{
+    // Mapped-page hits over a pre-touched 1024-page address space.
+    const auto dev = dram::makeDdr3_1600(dram::DensityGb::d32,
+                                         milliseconds(64.0), 64);
+    dram::AddressMapping mapping(dev.org);
+    os::BuddyAllocator buddy(mapping);
+    os::VirtualMemory vm(mapping, buddy);
+    constexpr std::uint64_t kPages = 1024;
+    os::Task task(1, "bench", mapping.totalBanks(), kPages);
+    const auto pageBytes = mapping.pageBytes();
+    for (std::uint64_t p = 0; p < kPages; ++p)
+        vm.translate(task, p * pageBytes);
+    Rng rng(3);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            vm.translate(task, rng.below(kPages * pageBytes)));
+    }
+}
+BENCHMARK(BM_Translate);
 
 void
 BM_GeometricSample(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "simcore/logging.hh"
 
 namespace refsched::cache
@@ -11,137 +13,83 @@ Cache::Cache(const CacheParams &params) : params_(params)
         fatal("cache line size must be a power of two");
     if (params_.associativity < 1)
         fatal("cache associativity must be >= 1");
-    numSets_ = params_.numSets();
-    if (numSets_ == 0 || !isPowerOfTwo(numSets_))
+    const std::uint64_t numSets = params_.numSets();
+    if (numSets == 0 || !isPowerOfTwo(numSets))
         fatal("cache set count must be a non-zero power of two; size=",
               params_.sizeBytes, " assoc=", params_.associativity,
               " line=", params_.lineBytes);
+    ways_ = static_cast<std::size_t>(params_.associativity);
     lineShift_ = log2Exact(params_.lineBytes);
-    setBits_ = log2Exact(numSets_);
-    lines_.assign(numSets_ * static_cast<std::uint64_t>(
-                                 params_.associativity),
-                  Line{});
-}
-
-std::uint64_t
-Cache::setIndex(Addr paddr) const
-{
-    return (paddr >> lineShift_) & (numSets_ - 1);
-}
-
-Addr
-Cache::tagOf(Addr paddr) const
-{
-    return paddr >> (lineShift_ + setBits_);
-}
-
-Addr
-Cache::lineAddr(Addr tag, std::uint64_t set) const
-{
-    return ((tag << setBits_) | set) << lineShift_;
-}
-
-Cache::Line *
-Cache::find(Addr paddr)
-{
-    const std::uint64_t set = setIndex(paddr);
-    const Addr tag = tagOf(paddr);
-    Line *base =
-        &lines_[set * static_cast<std::uint64_t>(params_.associativity)];
-    for (int w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::find(Addr paddr) const
-{
-    return const_cast<Cache *>(this)->find(paddr);
-}
-
-bool
-Cache::contains(Addr paddr) const
-{
-    return find(paddr) != nullptr;
-}
-
-CacheAccessOutcome
-Cache::access(Addr paddr, bool isWrite)
-{
-    ++accesses_;
-    if (Line *line = find(paddr)) {
-        line->lastUse = ++useCounter_;
-        line->dirty |= isWrite;
-        return CacheAccessOutcome{true, false, false, 0};
-    }
-    ++misses_;
-    CacheAccessOutcome out = insert(paddr, isWrite);
-    out.hit = false;
-    return out;
+    setBits_ = log2Exact(numSets);
+    tagShift_ = lineShift_ + setBits_;
+    setMask_ = numSets - 1;
+    const std::size_t lines = static_cast<std::size_t>(numSets) * ways_;
+    tags_.assign(lines, kInvalidTag);
+    dirty_.assign(lines, 0);
+    lastUse_.assign(lines, 0);
 }
 
 CacheAccessOutcome
 Cache::insert(Addr paddr, bool dirty)
 {
-    CacheAccessOutcome out;
-    out.hit = false;
+    const std::size_t line = find(paddr);
+    if (line == kNoLine)
+        return fill(paddr, dirty);
+    // Already present (write-back landing on a cached line).
+    dirty_[line] |= dirty;
+    lastUse_[line] = ++useCounter_;
+    return CacheAccessOutcome{};
+}
 
-    if (Line *line = find(paddr)) {
-        // Already present (write-back landing on a cached line).
-        line->dirty |= dirty;
-        line->lastUse = ++useCounter_;
-        return out;
-    }
-
-    const std::uint64_t set = setIndex(paddr);
-    Line *base =
-        &lines_[set * static_cast<std::uint64_t>(params_.associativity)];
-
-    Line *victim = nullptr;
-    for (int w = 0; w < params_.associativity; ++w) {
-        Line &l = base[w];
-        if (!l.valid) {
-            victim = &l;
+CacheAccessOutcome
+Cache::fill(Addr paddr, bool dirty)
+{
+    const std::size_t base = setBase(paddr);
+    std::size_t victim = base;
+    for (std::size_t line = base; line < base + ways_; ++line) {
+        if (tags_[line] == kInvalidTag) {
+            victim = line;
             break;
         }
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
+        if (lastUse_[line] < lastUse_[victim])
+            victim = line;
     }
 
-    if (victim->valid) {
+    CacheAccessOutcome out;
+    if (tags_[victim] != kInvalidTag) {
         out.victimValid = true;
-        out.victimDirty = victim->dirty;
-        out.victimAddr = lineAddr(victim->tag, set);
-        if (victim->dirty)
+        out.victimDirty = dirty_[victim] != 0;
+        out.victimAddr = ((tags_[victim] << setBits_)
+                          | ((paddr >> lineShift_) & setMask_))
+            << lineShift_;
+        if (out.victimDirty)
             ++writebacks_;
     }
 
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tagOf(paddr);
-    victim->lastUse = ++useCounter_;
+    tags_[victim] = paddr >> tagShift_;
+    dirty_[victim] = dirty;
+    lastUse_[victim] = ++useCounter_;
     return out;
 }
 
 bool
 Cache::invalidate(Addr paddr)
 {
-    if (Line *line = find(paddr)) {
-        const bool wasDirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
-        return wasDirty;
-    }
-    return false;
+    const std::size_t line = find(paddr);
+    if (line == kNoLine)
+        return false;
+    const bool wasDirty = dirty_[line] != 0;
+    tags_[line] = kInvalidTag;
+    dirty_[line] = 0;
+    return wasDirty;
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines_)
-        l = Line{};
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
     useCounter_ = 0;
 }
 

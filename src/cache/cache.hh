@@ -56,12 +56,25 @@ class Cache
 
     /**
      * Look up @p paddr; on miss, allocate the line (evicting LRU).
-     * @p isWrite marks the line dirty.
+     * @p isWrite marks the line dirty.  A hit is inline; only the
+     * miss is a call.
      */
-    CacheAccessOutcome access(Addr paddr, bool isWrite);
+    CacheAccessOutcome
+    access(Addr paddr, bool isWrite)
+    {
+        ++accesses_;
+        const std::size_t line = find(paddr);
+        if (line != kNoLine) [[likely]] {
+            lastUse_[line] = ++useCounter_;
+            dirty_[line] |= isWrite;
+            return CacheAccessOutcome{true, false, false, 0};
+        }
+        ++misses_;
+        return fill(paddr, isWrite);
+    }
 
     /** Probe without allocating or updating LRU. */
-    bool contains(Addr paddr) const;
+    bool contains(Addr paddr) const { return find(paddr) != kNoLine; }
 
     /**
      * Insert a line without a demand access (e.g., a write-back
@@ -95,27 +108,48 @@ class Cache
     }
 
   private:
-    struct Line
+    /** Tag of an empty way: no line address shifts down to it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr std::size_t kNoLine = ~std::size_t{0};
+
+    /** Index of the line holding @p paddr, or kNoLine. */
+    std::size_t
+    find(Addr paddr) const
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+        const Addr tag = paddr >> tagShift_;
+        const std::size_t base = setBase(paddr);
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == tag)
+                return base + w;
+        }
+        return kNoLine;
+    }
 
-    std::uint64_t setIndex(Addr paddr) const;
-    Addr tagOf(Addr paddr) const;
-    Addr lineAddr(Addr tag, std::uint64_t set) const;
+    /** Index of way 0 of @p paddr's set. */
+    std::size_t
+    setBase(Addr paddr) const
+    {
+        return static_cast<std::size_t>((paddr >> lineShift_) & setMask_)
+            * ways_;
+    }
 
-    /** Find the line holding @p paddr, or nullptr. */
-    Line *find(Addr paddr);
-    const Line *find(Addr paddr) const;
+    /** Allocate @p paddr, known to be absent, over its set's first
+     *  empty way or else its LRU way. */
+    CacheAccessOutcome fill(Addr paddr, bool dirty);
 
     CacheParams params_;
-    std::uint64_t numSets_;
+    std::size_t ways_;
     unsigned lineShift_;
     unsigned setBits_;
-    std::vector<Line> lines_;  ///< numSets * assoc, set-major
+    unsigned tagShift_;
+    Addr setMask_;
+
+    /** Per line, set-major (numSets * ways): the tag (kInvalidTag
+     *  when empty), the dirty bit and the LRU stamp.  Lookups touch
+     *  only tags_. */
+    std::vector<Addr> tags_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useCounter_ = 0;
 
     std::uint64_t accesses_ = 0;

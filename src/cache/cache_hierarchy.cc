@@ -19,20 +19,12 @@ CacheHierarchy::CacheHierarchy(int numCores,
 }
 
 HierarchyResult
-CacheHierarchy::access(int coreId, Pid pid, Addr paddr, bool isWrite)
+CacheHierarchy::l1Miss(Pid pid, Addr paddr, bool isWrite,
+                       const CacheAccessOutcome &l1Out)
 {
     HierarchyResult res;
-    ++totalAccesses_;
-
-    Cache &l1 = l1s_[static_cast<std::size_t>(coreId)];
-    res.latency += l1.params().hitLatency;
-
-    const auto l1Out = l1.access(paddr, isWrite);
-    if (l1Out.hit)
-        return res;
-
+    res.latency = maxLatency();
     ++l1Misses_;
-    res.latency += l2_.params().hitLatency;
 
     // A dirty L1 victim is written down into L2.  If L2 must evict a
     // dirty line to take it, that victim goes to DRAM.
@@ -52,7 +44,11 @@ CacheHierarchy::access(int coreId, Pid pid, Addr paddr, bool isWrite)
         return res;
 
     ++l2Misses_;
-    ++l2MissesPerPid_[pid];
+    REFSCHED_ASSERT(pid >= 0, "L2 miss without a task");
+    const auto slot = static_cast<std::size_t>(pid);
+    if (slot >= l2MissesPerPid_.size())
+        l2MissesPerPid_.resize(slot + 1, 0);
+    ++l2MissesPerPid_[slot];
     if (l2Out.victimValid && l2Out.victimDirty) {
         REFSCHED_ASSERT(res.writebackCount < 2, "writeback overflow");
         res.writebacks[res.writebackCount++] = l2Out.victimAddr;
@@ -68,8 +64,10 @@ CacheHierarchy::access(int coreId, Pid pid, Addr paddr, bool isWrite)
 std::uint64_t
 CacheHierarchy::l2MissesOf(Pid pid) const
 {
-    auto it = l2MissesPerPid_.find(pid);
-    return it == l2MissesPerPid_.end() ? 0 : it->second;
+    const auto slot = static_cast<std::size_t>(pid);
+    return pid >= 0 && slot < l2MissesPerPid_.size()
+        ? l2MissesPerPid_[slot]
+        : 0;
 }
 
 void

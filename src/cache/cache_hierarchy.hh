@@ -15,7 +15,6 @@
 #define REFSCHED_CACHE_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,10 +53,29 @@ class CacheHierarchy
 
     /**
      * Perform a load/store by core @p coreId for task @p pid at
-     * physical address @p paddr.
+     * physical address @p paddr.  An L1 hit is inline; only the L1
+     * miss is a call.
      */
-    HierarchyResult access(int coreId, Pid pid, Addr paddr,
-                           bool isWrite);
+    HierarchyResult
+    access(int coreId, Pid pid, Addr paddr, bool isWrite)
+    {
+        ++totalAccesses_;
+        Cache &l1 = l1s_[static_cast<std::size_t>(coreId)];
+        const auto l1Out = l1.access(paddr, isWrite);
+        if (l1Out.hit) [[likely]] {
+            HierarchyResult res;
+            res.latency = params_.l1.hitLatency;
+            return res;
+        }
+        return l1Miss(pid, paddr, isWrite, l1Out);
+    }
+
+    /** The largest latency access() returns: an L2 hit. */
+    Cycles
+    maxLatency() const
+    {
+        return params_.l1.hitLatency + params_.l2.hitLatency;
+    }
 
     /** Demand L2 misses for @p pid (numerator of MPKI). */
     std::uint64_t l2MissesOf(Pid pid) const;
@@ -77,10 +95,15 @@ class CacheHierarchy
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
   private:
+    /** access() past an L1 miss whose own outcome is @p l1Out. */
+    HierarchyResult l1Miss(Pid pid, Addr paddr, bool isWrite,
+                           const CacheAccessOutcome &l1Out);
+
     HierarchyParams params_;
     std::vector<Cache> l1s_;
     Cache l2_;
-    std::map<Pid, std::uint64_t> l2MissesPerPid_;
+    /** Indexed by pid; grown on a task's first L2 miss. */
+    std::vector<std::uint64_t> l2MissesPerPid_;
 
     Scalar totalAccesses_;
     Scalar l1Misses_;

@@ -295,11 +295,15 @@ System::buildTasks()
         prof.hotsetBytes = std::max<std::uint64_t>(
             prof.hotsetBytes / cfg_.timeScale, 4 * kKiB);
         prof.phases = phases[static_cast<std::size_t>(i)];
+        const std::uint64_t fp = footprints[static_cast<std::size_t>(i)];
         auto task = std::make_unique<os::Task>(
-            static_cast<Pid>(i + 1), name, totalBanks);
+            static_cast<Pid>(i + 1), name, totalBanks,
+            divCeil(workload::SyntheticTraceGenerator::peakFootprintBytes(
+                        prof, fp),
+                    pageBytes));
         auto src = std::make_unique<workload::SyntheticTraceGenerator>(
             prof, cfg_.seed * 1000003ULL + static_cast<std::uint64_t>(i),
-            footprints[static_cast<std::size_t>(i)]);
+            fp);
         task->source = src.get();
         // Interleave tasks across cores so mixed workloads land
         // evenly (task i runs on core i % numCores and belongs to
@@ -417,8 +421,11 @@ System::spawnScenarioTask(const workload::ScenarioEvent &ev, Pid pid)
     fp = std::max<std::uint64_t>(fp, prof.hotsetBytes);
     fp = divCeil(fp, pageBytes) * pageBytes;
 
-    auto task = std::make_unique<os::Task>(pid, ev.benchmark,
-                                           cfg_.totalBanks());
+    auto task = std::make_unique<os::Task>(
+        pid, ev.benchmark, cfg_.totalBanks(),
+        divCeil(workload::SyntheticTraceGenerator::peakFootprintBytes(
+                    prof, fp),
+                pageBytes));
     const std::uint64_t seed = cfg_.seed * 1000003ULL
         + 7919ULL * static_cast<std::uint64_t>(pid);
     std::unique_ptr<cpu::InstructionSource> src;

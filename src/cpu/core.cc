@@ -24,6 +24,14 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
                         0);
     fillSlotFilled_.assign(
         static_cast<std::size_t>(params_.robSize) + 1, 0);
+    hitChargeTable_.resize(
+        static_cast<std::size_t>(caches_.maxLatency()) + 1);
+    for (std::size_t lat = 0; lat < hitChargeTable_.size(); ++lat) {
+        hitChargeTable_[lat] = static_cast<Tick>(std::llround(
+            static_cast<double>(lat) * params_.hitLatencyVisibility
+            * static_cast<double>(params_.cpuPeriod)));
+    }
+    lineMask_ = ~(static_cast<Addr>(caches_.l2().params().lineBytes) - 1);
 }
 
 void
@@ -345,19 +353,15 @@ Core::advance(Tick now)
         chargeInstructions(1);
         ++task_->memOps;
 
-        if (!res.dramMiss && res.latency > 0) {
-            // Hit latency partially exposed past the OoO window.
-            chargeCycles(static_cast<double>(res.latency)
-                         * params_.hitLatencyVisibility);
-        }
+        // Hit latency partially exposed past the OoO window.
+        if (!res.dramMiss)
+            localTick_ += hitChargeTable_[res.latency];
 
-        const Addr lineMask =
-            ~(static_cast<Addr>(caches_.l2().params().lineBytes) - 1);
         for (int i = 0; i < res.writebackCount; ++i)
-            pendingWritebacks_.push_back(res.writebacks[i] & lineMask);
+            pendingWritebacks_.push_back(res.writebacks[i] & lineMask_);
 
         if (res.dramMiss) {
-            pendingMiss_ = paddr & lineMask;
+            pendingMiss_ = paddr & lineMask_;
             pendingMissIdx_ = instrIdx_;
             pendingMissSequential_ = pendingEntry_->sequential;
             pendingMissDependent_ = pendingEntry_->dependent;

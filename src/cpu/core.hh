@@ -214,6 +214,14 @@ class Core : public os::CpuContext, public Callee
      *  CPI), yielding identical tick charges. */
     std::vector<Tick> chargeTable_;
     double chargeTableCpi_ = -1.0;
+
+    /** hitChargeTable_[lat] = llround(lat * hitLatencyVisibility *
+     *  cpuPeriod) for every latency the hierarchy returns: the
+     *  exposed part of a cache hit, charged with one load. */
+    std::vector<Tick> hitChargeTable_;
+
+    /** Line-aligns a physical address (L2 line size). */
+    Addr lineMask_ = 0;
 };
 
 } // namespace refsched::cpu

@@ -7,9 +7,11 @@
 namespace refsched::os
 {
 
-Task::Task(Pid pid, std::string name, int numGlobalBanks)
+Task::Task(Pid pid, std::string name, int numGlobalBanks,
+           std::uint64_t addressSpacePages)
     : possibleBanksVector(static_cast<std::size_t>(numGlobalBanks),
                           true),
+      pageTable(addressSpacePages, 0),
       residentPagesPerBank(static_cast<std::size_t>(numGlobalBanks), 0),
       residentBanksMask(
           (static_cast<std::size_t>(numGlobalBanks) + 63) / 64, 0),

@@ -16,10 +16,8 @@
 #ifndef REFSCHED_OS_TASK_HH
 #define REFSCHED_OS_TASK_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simcore/types.hh"
@@ -43,7 +41,10 @@ enum class TaskState
 class Task
 {
   public:
-    Task(Pid pid, std::string name, int numGlobalBanks);
+    /** @p addressSpacePages sizes the page table: the task may touch
+     *  vpns [0, addressSpacePages) and no others. */
+    Task(Pid pid, std::string name, int numGlobalBanks,
+         std::uint64_t addressSpacePages = 0);
 
     Pid pid() const { return pid_; }
     const std::string &name() const { return name_; }
@@ -105,19 +106,14 @@ class Task
 
     // --- Virtual memory ---
 
-    /** vpn -> pfn demand-paged mappings. */
-    std::unordered_map<std::uint64_t, std::uint64_t> pageTable;
-
     /**
-     * Direct-mapped vpn -> pfn cache over pageTable (a simulator
-     * fast path, not an architectural TLB: no hit/miss accounting,
-     * no latency).  Tags store vpn + 1 so 0 means empty.  Contents
-     * always mirror pageTable; mappings are only ever dropped
-     * wholesale at address-space teardown, which flushes it.
+     * The page table, indexed by vpn: pfn + 1 for a mapped page, 0
+     * for an unmapped one.  Sized once, at creation, to the task's
+     * peak footprint; VirtualMemory::translate fatal()s on a vpn past
+     * its end instead of growing it.  A translation is one load, and
+     * every walk over the mappings is in vpn order.
      */
-    static constexpr std::size_t kTlbEntries = 256;
-    std::array<std::uint64_t, kTlbEntries> tlbTag{};
-    std::array<std::uint64_t, kTlbEntries> tlbPfn{};
+    std::vector<std::uint64_t> pageTable;
 
     /** Resident page count per global bank. */
     std::vector<std::uint32_t> residentPagesPerBank;

@@ -1,7 +1,5 @@
 #include "os/virtual_memory.hh"
 
-#include <algorithm>
-
 #include "simcore/logging.hh"
 
 namespace refsched::os
@@ -9,32 +7,20 @@ namespace refsched::os
 
 VirtualMemory::VirtualMemory(const dram::AddressMapping &mapping,
                              BuddyAllocator &buddy)
-    : mapping_(mapping), buddy_(buddy)
+    : mapping_(mapping), buddy_(buddy),
+      pageShift_(mapping.pageShift()),
+      pageOffsetMask_((Addr{1} << mapping.pageShift()) - 1)
 {
 }
 
 Addr
-VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
+VirtualMemory::pageFault(Task &task, Addr vaddr, bool *faulted)
 {
-    const unsigned shift = mapping_.pageShift();
-    const std::uint64_t vpn = vaddr >> shift;
-    const Addr offset = vaddr & ((1ULL << shift) - 1);
-
-    const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-    if (task.tlbTag[slot] == vpn + 1) {
-        if (faulted)
-            *faulted = false;
-        return (task.tlbPfn[slot] << shift) | offset;
-    }
-
-    auto it = task.pageTable.find(vpn);
-    if (it != task.pageTable.end()) {
-        task.tlbTag[slot] = vpn + 1;
-        task.tlbPfn[slot] = it->second;
-        if (faulted)
-            *faulted = false;
-        return (it->second << shift) | offset;
-    }
+    const std::uint64_t vpn = vaddr >> pageShift_;
+    if (vpn >= task.pageTable.size())
+        fatal("task ", task.name(), " (pid ", task.pid(),
+              ") touched vpn ", vpn, " past its address space of ",
+              task.pageTable.size(), " pages");
 
     // Demand paging: Algorithm 2 first, any-bank fallback second.
     // The allocator records the task's bank footprint (and the
@@ -50,29 +36,25 @@ VirtualMemory::translate(Task &task, Addr vaddr, bool *faulted)
               task.pid(), ") touched vpn ", vpn, " with ",
               buddy_.freeFrames(), " free frames");
 
-    task.pageTable.emplace(vpn, *pfn);
-    task.tlbTag[slot] = vpn + 1;
-    task.tlbPfn[slot] = *pfn;
+    task.pageTable[vpn] = *pfn + 1;
     ++task.pageFaults;
     ++pageFaults_;
     if (faulted)
         *faulted = true;
-    return (*pfn << shift) | offset;
+    return (*pfn << pageShift_) | (vaddr & pageOffsetMask_);
 }
 
 void
 VirtualMemory::releaseTask(Task &task)
 {
-    // Free in vpn order: pageTable iteration order is
-    // implementation-defined and the frees are probe-visible, so an
-    // unordered walk would leak hash-map layout into golden traces.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pages(
-        task.pageTable.begin(), task.pageTable.end());
-    std::sort(pages.begin(), pages.end());
-    for (const auto &[vpn, pfn] : pages)
-        buddy_.freePage(pfn, task.pid());
-    task.pageTable.clear();
-    task.tlbTag.fill(0);
+    // Frees are probe-visible: the vpn-order walk keeps them in a
+    // fixed order.
+    for (std::uint64_t &entry : task.pageTable) {
+        if (entry != 0) {
+            buddy_.freePage(entry - 1, task.pid());
+            entry = 0;
+        }
+    }
     task.clearResidentPages();
 }
 
@@ -80,22 +62,24 @@ std::vector<std::uint64_t>
 VirtualMemory::collectStalePages(const Task &task) const
 {
     std::vector<std::uint64_t> stale;
-    for (const auto &[vpn, pfn] : task.pageTable) {
-        if (!task.allowsBank(mapping_.bankOfFrame(pfn)))
+    for (std::uint64_t vpn = 0; vpn < task.pageTable.size(); ++vpn) {
+        const std::uint64_t entry = task.pageTable[vpn];
+        if (entry != 0
+            && !task.allowsBank(mapping_.bankOfFrame(entry - 1)))
             stale.push_back(vpn);
     }
-    std::sort(stale.begin(), stale.end());
     return stale;
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
 VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
 {
-    auto it = task.pageTable.find(vpn);
-    REFSCHED_ASSERT(it != task.pageTable.end(),
+    REFSCHED_ASSERT(vpn < task.pageTable.size()
+                        && task.pageTable[vpn] != 0,
                     "migratePage: vpn ", vpn, " not mapped for pid ",
                     task.pid());
-    const std::uint64_t fromPfn = it->second;
+    std::uint64_t &entry = task.pageTable[vpn];
+    const std::uint64_t fromPfn = entry - 1;
 
     // Algorithm 2 placement into the new mask; allocPage records the
     // destination in the task's residency footprint.
@@ -103,10 +87,7 @@ VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
     if (!toPfn)
         return std::nullopt;  // permitted banks exhausted: stay put
 
-    it->second = *toPfn;
-    const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-    if (task.tlbTag[slot] == vpn + 1)
-        task.tlbPfn[slot] = *toPfn;
+    entry = *toPfn + 1;
     if (freeOld) {
         task.removeResidentPage(mapping_.bankOfFrame(fromPfn));
         buddy_.freePage(fromPfn, task.pid());
@@ -117,21 +98,19 @@ VirtualMemory::migratePage(Task &task, std::uint64_t vpn, bool freeOld)
 std::uint64_t
 VirtualMemory::trimFootprint(Task &task, std::uint64_t vpnBound)
 {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> doomed;
-    for (const auto &[vpn, pfn] : task.pageTable) {
-        if (vpn >= vpnBound)
-            doomed.emplace_back(vpn, pfn);
-    }
-    std::sort(doomed.begin(), doomed.end());
-    for (const auto &[vpn, pfn] : doomed) {
-        task.pageTable.erase(vpn);
-        const std::size_t slot = vpn & (Task::kTlbEntries - 1);
-        if (task.tlbTag[slot] == vpn + 1)
-            task.tlbTag[slot] = 0;
+    std::uint64_t released = 0;
+    for (std::uint64_t vpn = vpnBound; vpn < task.pageTable.size();
+         ++vpn) {
+        std::uint64_t &entry = task.pageTable[vpn];
+        if (entry == 0)
+            continue;
+        const std::uint64_t pfn = entry - 1;
+        entry = 0;
         task.removeResidentPage(mapping_.bankOfFrame(pfn));
         buddy_.freePage(pfn, task.pid());
+        ++released;
     }
-    return doomed.size();
+    return released;
 }
 
 } // namespace refsched::os

@@ -35,10 +35,26 @@ class VirtualMemory
     /**
      * Translate @p vaddr for @p task, allocating the backing frame
      * on first touch.  @p faulted (optional) reports whether this
-     * access took a page fault.  fatal() when physical memory is
-     * fully exhausted.
+     * access took a page fault.  A mapped page is one load of the
+     * task's page table, inline; only the fault is a call.  fatal()
+     * when physical memory is fully exhausted, or when @p vaddr lies
+     * past the address space the task was created with.
      */
-    Addr translate(Task &task, Addr vaddr, bool *faulted = nullptr);
+    Addr
+    translate(Task &task, Addr vaddr, bool *faulted = nullptr)
+    {
+        const std::uint64_t vpn = vaddr >> pageShift_;
+        if (vpn < task.pageTable.size()) [[likely]] {
+            const std::uint64_t entry = task.pageTable[vpn];
+            if (entry != 0) [[likely]] {
+                if (faulted)
+                    *faulted = false;
+                return ((entry - 1) << pageShift_)
+                    | (vaddr & pageOffsetMask_);
+            }
+        }
+        return pageFault(task, vaddr, faulted);
+    }
 
     /** Release every frame owned by @p task. */
     void releaseTask(Task &task);
@@ -46,15 +62,14 @@ class VirtualMemory
     /**
      * Virtual pages of @p task whose backing frame lives in a bank
      * its current possibleBanksVector forbids -- the stale set after
-     * a consolidation re-binpack.  Sorted by vpn (deterministic
-     * regardless of pageTable iteration order).
+     * a consolidation re-binpack, in vpn order.
      */
     std::vector<std::uint64_t> collectStalePages(const Task &task) const;
 
     /**
      * Move @p vpn's backing frame into a bank permitted by the
      * task's current possibleBanksVector (Algorithm 2 placement).
-     * The mapping, TLB and bank residency are rewritten immediately;
+     * The mapping and bank residency are rewritten immediately;
      * the caller models the copy traffic.  When @p freeOld is false
      * the source frame is left allocated (transiently double-counted
      * against the task) and the caller must freePage it once the copy
@@ -78,8 +93,13 @@ class VirtualMemory
     const dram::AddressMapping &mapping() const { return mapping_; }
 
   private:
+    /** translate()'s slow path: demand-page @p vaddr's vpn. */
+    Addr pageFault(Task &task, Addr vaddr, bool *faulted);
+
     const dram::AddressMapping &mapping_;
     BuddyAllocator &buddy_;
+    unsigned pageShift_;
+    Addr pageOffsetMask_;
     std::uint64_t pageFaults_ = 0;
     std::uint64_t fallbacks_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "workload/hotspot_source.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "os/task.hh"
@@ -34,19 +35,20 @@ AdversarialHotspotSource::next()
         return e;  // nothing forecastable (AllBank, NoRefresh, ...)
 
     if (banks != cachedBanks_) {
-        // Rebuild the target-page list by walking vpns in order (a
-        // pageTable iteration would leak hash order into the trace).
-        // Pages are touched lazily, so unmapped vpns simply skip.
+        // Rebuild the target-page list by walking the page table in
+        // vpn order.  Pages are touched lazily, so unmapped vpns
+        // simply skip.
         cachedBanks_ = banks;
         candidates_.clear();
         const std::uint64_t pageBytes = mapping_->pageBytes();
-        const std::uint64_t vpns =
-            (base_.footprintBytes() + pageBytes - 1) / pageBytes;
+        const std::uint64_t vpns = std::min<std::uint64_t>(
+            (base_.footprintBytes() + pageBytes - 1) / pageBytes,
+            task_->pageTable.size());
         for (std::uint64_t vpn = 0; vpn < vpns; ++vpn) {
-            const auto it = task_->pageTable.find(vpn);
-            if (it == task_->pageTable.end())
+            const std::uint64_t entry = task_->pageTable[vpn];
+            if (entry == 0)
                 continue;
-            const int bank = mapping_->bankOfFrame(it->second);
+            const int bank = mapping_->bankOfFrame(entry - 1);
             for (const int b : banks) {
                 if (b == bank) {
                     candidates_.push_back(vpn);

@@ -34,7 +34,30 @@ gapSampler(double memOpFraction)
         .first->second;
 }
 
+/** Effective footprint of a macro-phase at @p scale of @p base. */
+std::uint64_t
+phaseFootprint(std::uint64_t base, double scale, std::uint64_t hotset)
+{
+    return std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(static_cast<double>(base) * scale),
+        hotset);
+}
+
 } // namespace
+
+std::uint64_t
+SyntheticTraceGenerator::peakFootprintBytes(
+    const BenchmarkProfile &profile, std::uint64_t footprintBytes)
+{
+    const std::uint64_t base =
+        std::max(footprintBytes, profile.hotsetBytes);
+    std::uint64_t peak = base;
+    for (const PhaseSpec &spec : profile.phases.phases) {
+        peak = std::max(peak, phaseFootprint(base, spec.footprintScale,
+                                             profile.hotsetBytes));
+    }
+    return peak;
+}
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const BenchmarkProfile &profile, std::uint64_t seed,
@@ -87,10 +110,8 @@ SyntheticTraceGenerator::applyPhase(std::size_t idx)
     eff.accessBytes = base_.accessBytes;
     eff.phases = {};
 
-    footprint_ = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(
-            static_cast<double>(baseFootprint_) * spec.footprintScale),
-        eff.hotsetBytes);
+    footprint_ = phaseFootprint(baseFootprint_, spec.footprintScale,
+                                eff.hotsetBytes);
     eff.footprintBytes = footprint_;
     eff.check();
     profile_ = eff;

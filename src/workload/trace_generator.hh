@@ -40,6 +40,15 @@ class SyntheticTraceGenerator final : public cpu::InstructionSource
                             std::uint64_t seed,
                             std::uint64_t footprintBytes);
 
+    /**
+     * The largest footprint a generator built from @p profile and
+     * @p footprintBytes takes in any macro-phase: every vaddr it
+     * emits lies below this.  Callers size the task's page table
+     * with it.
+     */
+    static std::uint64_t peakFootprintBytes(
+        const BenchmarkProfile &profile, std::uint64_t footprintBytes);
+
     cpu::TraceEntry next() override;
 
     double baseCpi() const override { return profile_.baseCpi; }

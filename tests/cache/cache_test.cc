@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "simcore/logging.hh"
+#include "simcore/rng.hh"
 
 namespace refsched::cache
 {
@@ -179,6 +183,164 @@ TEST(CacheTest, BadParamsAreFatal)
     p = tiny();
     p.sizeBytes = 384;  // 3 sets: not a power of two
     EXPECT_THROW(Cache{p}, FatalError);
+}
+
+/**
+ * Naive true-LRU reference: per set, the resident lines in recency
+ * order (most recent first), each a line address and a dirty bit.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint64_t numSets, int ways)
+        : sets_(numSets), ways_(static_cast<std::size_t>(ways))
+    {
+    }
+
+    CacheAccessOutcome
+    access(Addr paddr, bool isWrite)
+    {
+        ++accesses;
+        auto &set = setOf(paddr);
+        const auto it = lineIn(set, paddr);
+        if (it != set.end()) {
+            Line line = *it;
+            line.dirty |= isWrite;
+            set.erase(it);
+            set.insert(set.begin(), line);
+            return CacheAccessOutcome{true, false, false, 0};
+        }
+        ++misses;
+        return insert(paddr, isWrite);
+    }
+
+    CacheAccessOutcome
+    insert(Addr paddr, bool dirty)
+    {
+        auto &set = setOf(paddr);
+        CacheAccessOutcome out;
+        const auto it = lineIn(set, paddr);
+        if (it != set.end()) {
+            Line line = *it;
+            line.dirty |= dirty;
+            set.erase(it);
+            set.insert(set.begin(), line);
+            return out;
+        }
+        if (set.size() == ways_) {
+            out.victimValid = true;
+            out.victimDirty = set.back().dirty;
+            out.victimAddr = set.back().addr;
+            writebacks += out.victimDirty ? 1 : 0;
+            set.pop_back();
+        }
+        set.insert(set.begin(), Line{paddr & ~Addr{63}, dirty});
+        return out;
+    }
+
+    bool
+    invalidate(Addr paddr)
+    {
+        auto &set = setOf(paddr);
+        const auto it = lineIn(set, paddr);
+        if (it == set.end())
+            return false;
+        const bool dirty = it->dirty;
+        set.erase(it);
+        return dirty;
+    }
+
+    bool
+    contains(Addr paddr)
+    {
+        auto &set = setOf(paddr);
+        return lineIn(set, paddr) != set.end();
+    }
+
+    void
+    reset()
+    {
+        for (auto &set : sets_)
+            set.clear();
+    }
+
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr addr;
+        bool dirty;
+    };
+
+    std::vector<Line> &
+    setOf(Addr paddr)
+    {
+        return sets_[(paddr / 64) % sets_.size()];
+    }
+
+    static std::vector<Line>::iterator
+    lineIn(std::vector<Line> &set, Addr paddr)
+    {
+        return std::find_if(set.begin(), set.end(), [paddr](const Line &l) {
+            return l.addr == (paddr & ~Addr{63});
+        });
+    }
+
+    std::vector<std::vector<Line>> sets_;
+    std::size_t ways_;
+};
+
+/** Random access/insert/invalidate streams, reads and writes, over
+ *  three times the capacity: every outcome field and every counter
+ *  must match the reference on every step. */
+TEST(CacheDifferentialTest, MatchesReferenceLruAt1And4And16Ways)
+{
+    constexpr std::uint64_t kSets = 8;
+    for (const int ways : {1, 4, 16}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways");
+        const CacheParams params{kSets * static_cast<std::uint64_t>(ways)
+                                     * 64,
+                                 ways, 64, 2};
+        Cache c(params);
+        ReferenceLru ref(kSets, ways);
+        const std::uint64_t lines =
+            3 * kSets * static_cast<std::uint64_t>(ways);
+        Rng rng(static_cast<std::uint64_t>(ways) * 7919);
+        for (int step = 0; step < 50000; ++step) {
+            const Addr paddr = rng.below(lines) * 64 + rng.below(64);
+            const bool write = rng.bernoulli(0.3);
+            const std::uint64_t op = rng.below(100);
+            CacheAccessOutcome got, want;
+            if (op < 70) {
+                got = c.access(paddr, write);
+                want = ref.access(paddr, write);
+            } else if (op < 88) {
+                got = c.insert(paddr, write);
+                want = ref.insert(paddr, write);
+            } else if (op < 99) {
+                ASSERT_EQ(c.invalidate(paddr), ref.invalidate(paddr))
+                    << "step " << step;
+            } else {
+                c.reset();
+                ref.reset();
+            }
+            ASSERT_EQ(got.hit, want.hit) << "step " << step;
+            ASSERT_EQ(got.victimValid, want.victimValid) << "step " << step;
+            ASSERT_EQ(got.victimDirty, want.victimDirty) << "step " << step;
+            ASSERT_EQ(got.victimAddr, want.victimAddr) << "step " << step;
+            ASSERT_EQ(c.contains(paddr), ref.contains(paddr))
+                << "step " << step;
+            ASSERT_EQ(c.accesses(), ref.accesses);
+            ASSERT_EQ(c.misses(), ref.misses);
+            ASSERT_EQ(c.writebacks(), ref.writebacks);
+        }
+        EXPECT_GT(c.writebacks(), 0u);
+        EXPECT_GT(c.misses(), 0u);
+        EXPECT_LT(c.misses(), c.accesses());
+    }
 }
 
 } // namespace

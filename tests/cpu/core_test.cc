@@ -33,6 +33,10 @@ class ScriptedSource : public InstructionSource
     double cpi_;
 };
 
+/** Pages every test task may touch: more than the largest span a
+ *  test walks (512 KiB). */
+constexpr std::uint64_t kAddressSpacePages = 256;
+
 struct Fixture
 {
     explicit Fixture(CoreParams params = {},
@@ -45,7 +49,7 @@ struct Fixture
           vm(mc.mapping(), buddy),
           caches(1, smallCaches()),
           core(eq, 0, params, caches, mc, vm),
-          task(1, "test", mc.mapping().totalBanks())
+          task(1, "test", mc.mapping().totalBanks(), kAddressSpacePages)
     {
     }
 
@@ -251,7 +255,8 @@ TEST(CoreTest, ContextSwitchSwapsAccounting)
 {
     Fixture f;
     f.preTouch(4 * kKiB);
-    os::Task other(2, "other", f.mc.mapping().totalBanks());
+    os::Task other(2, "other", f.mc.mapping().totalBanks(),
+                   kAddressSpacePages);
     for (Addr a = 0; a < 4 * kKiB; a += f.mc.mapping().pageBytes())
         f.vm.translate(other, a);
 

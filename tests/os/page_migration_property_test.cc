@@ -6,8 +6,8 @@
  * stale-page migration and phase-style footprint trimming, checking
  * after every round that:
  *  - the virtual memory map is a bijection: across all live tasks no
- *    physical frame backs two virtual pages, and the TLB fast path
- *    agrees with the page table;
+ *    physical frame backs two virtual pages, and translate() of every
+ *    mapped page returns its table entry without faulting;
  *  - after a full migration sweep that never exhausted a mask, every
  *    resident page of every task lives in a bank its current
  *    possible_banks_vector permits;
@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -73,18 +72,23 @@ struct Model
 };
 
 void
-checkRound(const Fixture &f, const Model &m, bool masksGuaranteed,
+checkRound(Fixture &f, const Model &m, bool masksGuaranteed,
            const char *when)
 {
     SCOPED_TRACE(when);
 
-    // Bijection + TLB coherence + per-bank residency recount.
+    // Bijection + translate coherence + per-bank residency recount.
     std::unordered_set<std::uint64_t> usedPfns;
     std::uint64_t mappedPages = 0;
     for (const auto &t : m.live) {
         std::vector<std::uint32_t> perBank(
             static_cast<std::size_t>(f.mapping.totalBanks()), 0);
-        for (const auto &[vpn, pfn] : t->pageTable) {
+        std::uint64_t taskPages = 0;
+        for (std::uint64_t vpn = 0; vpn < t->pageTable.size(); ++vpn) {
+            if (t->pageTable[vpn] == 0)
+                continue;
+            const std::uint64_t pfn = t->pageTable[vpn] - 1;
+            ++taskPages;
             EXPECT_TRUE(usedPfns.insert(pfn).second)
                 << "pfn " << pfn << " backs two virtual pages";
             ++mappedPages;
@@ -95,12 +99,13 @@ checkRound(const Fixture &f, const Model &m, bool masksGuaranteed,
                     << "pid " << t->pid() << " vpn " << vpn
                     << " resident in forbidden bank " << bank;
             }
-            const std::size_t slot = vpn % Task::kTlbEntries;
-            if (t->tlbTag[slot] == vpn + 1) {
-                EXPECT_EQ(t->tlbPfn[slot], pfn)
-                    << "TLB disagrees with the page table at vpn "
-                    << vpn;
-            }
+            const unsigned shift = f.mapping.pageShift();
+            bool faulted = true;
+            EXPECT_EQ(f.vm.translate(*t, vpn << shift, &faulted) >> shift,
+                      pfn)
+                << "translate disagrees with the page table at vpn "
+                << vpn;
+            EXPECT_FALSE(faulted) << "mapped vpn " << vpn << " faulted";
         }
         for (int b = 0; b < f.mapping.totalBanks(); ++b) {
             EXPECT_EQ(t->residentPagesPerBank[static_cast<std::size_t>(
@@ -109,7 +114,7 @@ checkRound(const Fixture &f, const Model &m, bool masksGuaranteed,
                 << "pid " << t->pid() << " residency drifted in bank "
                 << b;
         }
-        EXPECT_EQ(t->residentPages(), t->pageTable.size());
+        EXPECT_EQ(t->residentPages(), taskPages);
     }
 
     // Naive allocator recount.
@@ -140,7 +145,7 @@ TEST(PageMigrationPropertyTest, RandomChurnKeepsMapSound)
         if (m.live.size() < kMaxLive
             && (m.live.empty() || rng.bernoulli(0.4))) {
             auto t = std::make_unique<Task>(
-                m.nextPid++, "tenant", totalBanks);
+                m.nextPid++, "tenant", totalBanks, kMaxPages);
             randomizeMask(rng, *t, totalBanks);
             m.live.push_back(std::move(t));
         }
@@ -164,8 +169,9 @@ TEST(PageMigrationPropertyTest, RandomChurnKeepsMapSound)
             Task &t = *m.live[rng.below(m.live.size())];
             const std::uint64_t bound = rng.inRange(1, kMaxPages / 2);
             f.vm.trimFootprint(t, bound);
-            for (const auto &[vpn, pfn] : t.pageTable)
-                EXPECT_LT(vpn, bound);
+            for (std::uint64_t vpn = bound; vpn < t.pageTable.size();
+                 ++vpn)
+                EXPECT_EQ(t.pageTable[vpn], 0u) << "vpn " << vpn;
         }
 
         // Consolidation: re-randomize masks, then migrate every

@@ -1,15 +1,15 @@
 # ctest driver for the input contract of refsched_cli, the figure
-# benches, golden_diff and trace_tool: malformed or out-of-range values and
-# unknown flags stop the tool with exit status 1 and exactly one
-# "fatal:" line on stderr -- never an abort, an uncaught exception, a
-# hang or a silent default.
+# benches and golden_diff: malformed or out-of-range values and unknown
+# flags stop the tool with exit status 1 and exactly one "fatal:" line
+# on stderr -- never an abort, an uncaught exception, a hang or a
+# silent default.
 #
 # Usage (see tools/CMakeLists.txt):
 #   cmake -DCLI=<refsched_cli> -DBENCH=<fig10_codesign_ipc>
-#         -DGOLDEN=<golden_diff> -DTRACE_TOOL=<trace_tool> -DOUT=<dir>
+#         -DGOLDEN=<golden_diff> -DOUT=<dir>
 #         -P cli_input_smoke.cmake
 
-foreach(var CLI BENCH GOLDEN TRACE_TOOL OUT)
+foreach(var CLI BENCH GOLDEN OUT)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "cli_input_smoke.cmake needs -D${var}=...")
     endif()
@@ -34,7 +34,6 @@ set(cases
     "BENCH --scale 3"      # a timeScale the DRAM model rejects
     "BENCH --bogus"
     "GOLDEN jobs-check --warmup -1"
-    "TRACE_TOOL record mcf 100000000000000 ${OUT}/huge.trace"
 )
 
 foreach(label IN LISTS cases)
