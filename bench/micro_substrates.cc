@@ -42,12 +42,19 @@ BM_BuddyAllocFreePage(benchmark::State &state)
 }
 BENCHMARK(BM_BuddyAllocFreePage);
 
+/** An event that does nothing: the kernel's own cost per event. */
+struct NullCallee final : Callee
+{
+    void fire(Tick, std::uint64_t, std::uint64_t) override {}
+};
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     EventQueue eq;
+    NullCallee nop;
     for (auto _ : state) {
-        eq.schedule(eq.now() + 10, [] {});
+        eq.schedule(eq.now() + 10, nop, 0, 0);
         eq.runOne();
     }
 }
@@ -60,11 +67,12 @@ BM_EventQueueScheduleCancel(benchmark::State &state)
     // events: exercises the O(1) generation-counter cancel and the
     // slab free-list recycle path (steady state allocates nothing).
     EventQueue eq;
+    NullCallee nop;
     std::vector<EventHandle> standing;
     for (std::int64_t i = 0; i < state.range(0); ++i)
-        standing.push_back(eq.schedule(1'000'000 + i, [] {}));
+        standing.push_back(eq.schedule(1'000'000 + i, nop, 0, 0));
     for (auto _ : state) {
-        auto h = eq.schedule(eq.now() + 10, [] {});
+        auto h = eq.schedule(eq.now() + 10, nop, 0, 0);
         h.cancel();
     }
 }

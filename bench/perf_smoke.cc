@@ -36,12 +36,20 @@
  * checks for heterogeneous machines).  Exits non-zero on any
  * regression.  The instrs and Minstr/s columns are reported but not
  * gated, so a baseline archived before they existed still checks.
+ *
+ * Every run also reports a "host" table: the host fingerprint
+ * (logical CPUs and the /proc/cpuinfo model name).  Wall-clock and
+ * Mticks/s are compared only against a baseline recorded on a host
+ * with the same fingerprint; otherwise --check says in one line that
+ * it skipped them (a baseline without a fingerprint never matches).
+ * Event rows are checked exactly everywhere.
  */
 
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "bench_util.hh"
 
@@ -158,10 +166,34 @@ runConfig(const SmokeConfig &sc, const BenchOptions &opts)
 // a previous run and diff events / wall-clock.
 // ---------------------------------------------------------------
 
-/** Row cells of the "perf_smoke" table in a JSON archive written by
- *  bench_util's JsonArchive (every cell is a string). */
+/** This host's fingerprint: logical CPUs and CPU model. */
+core::Table
+hostFingerprint()
+{
+    std::string model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        const auto value = colon == std::string::npos
+            ? colon
+            : line.find_first_not_of(" \t", colon + 1);
+        if (value != std::string::npos)
+            model = line.substr(value);
+        break;
+    }
+    core::Table t({"nproc", "cpu"});
+    t.addRow({std::to_string(std::thread::hardware_concurrency()),
+              model});
+    return t;
+}
+
+/** Row cells of the @p label table in a JSON archive written by
+ *  bench_util's JsonArchive (every cell is a string); empty when the
+ *  archive has no such table. */
 std::vector<std::vector<std::string>>
-readBaselineRows(const std::string &path)
+readBaselineTable(const std::string &path, const std::string &label)
 {
     std::ifstream is(path);
     if (!is)
@@ -171,9 +203,9 @@ readBaselineRows(const std::string &path)
     const auto doc = obs::parseJson(ss.str());
     if (const auto *tables = doc.find("tables")) {
         for (const auto &table : tables->array) {
-            const auto *label = table.find("label");
             const auto *rows = table.find("rows");
-            if (!label || label->string != "perf_smoke" || !rows)
+            const auto *name = table.find("label");
+            if (!name || name->string != label || !rows)
                 continue;
             std::vector<std::vector<std::string>> out;
             for (const auto &row : rows->array) {
@@ -184,15 +216,24 @@ readBaselineRows(const std::string &path)
             return out;
         }
     }
-    fatal(path, ": no perf_smoke table in archive");
+    return {};
 }
 
 int
 checkAgainstBaseline(const std::vector<SmokeResult> &now,
                      const std::string &path, double wallTolPct,
-                     bool eventsOnly)
+                     bool eventsOnly, const core::Table &host)
 {
-    const auto rows = readBaselineRows(path);
+    const auto rows = readBaselineTable(path, "perf_smoke");
+    if (rows.empty())
+        fatal(path, ": no perf_smoke table in archive");
+    if (!eventsOnly && readBaselineTable(path, "host") != host.rowData()) {
+        std::cout << "wall-clock and Mticks/s rows skipped: " << path
+                  << " was not recorded on this host (nproc "
+                  << host.rowData()[0][0] << ", "
+                  << host.rowData()[0][1] << ")\n";
+        eventsOnly = true;
+    }
     bool ok = true;
 
     for (const auto &r : now) {
@@ -315,6 +356,9 @@ try {
     std::cout << "Simulation performance smoke (WL-1, 32 Gb, scale "
               << opts.timeScale << ")\n\n";
     emit(opts, table, "perf_smoke");
+    std::cout << "\nHost\n\n";
+    const core::Table host = hostFingerprint();
+    emit(opts, host, "host");
     std::cout << "\n";
 
     // Trajectory vs the seed controller, only meaningful at the
@@ -347,7 +391,7 @@ try {
 
     if (!checkPath.empty())
         return checkAgainstBaseline(results, checkPath, wallTolPct,
-                                    eventsOnly);
+                                    eventsOnly, host);
     return 0;
 } catch (const FatalError &e) {
     exitFatal(e);

@@ -73,18 +73,56 @@ class SkewedPerBank final : public dram::RefreshScheduler
     std::vector<std::uint64_t> cmdIndex_;
 };
 
-/** Completion receiver: cookie0 carries the send tick. */
-struct LatencyAccumulator : Callee
+/**
+ * Open-loop random reader on the event kernel's one callback form:
+ * an injection event (arg1 = 1) issues one read and reschedules
+ * itself a period later; a read completion (arg0 = its send tick)
+ * accumulates latency.
+ */
+class OpenLoopReader final : public Callee
 {
-    double latSum = 0.0;
-    std::uint64_t completed = 0;
+  public:
+    OpenLoopReader(memctrl::MemoryController &mc, EventQueue &eq,
+                   const dram::DramDeviceConfig &dev)
+        : mc_(mc), eq_(eq), lines_(dev.org.totalBytes() / 64)
+    {
+    }
 
     void
-    fire(Tick now, std::uint64_t sent, std::uint64_t) override
+    fire(Tick now, std::uint64_t sent, std::uint64_t inject) override
     {
-        latSum += static_cast<double>(now - static_cast<Tick>(sent));
-        ++completed;
+        if (!inject) {
+            latSum_ += static_cast<double>(now - static_cast<Tick>(sent));
+            ++completed_;
+            return;
+        }
+        memctrl::Request r;
+        r.paddr = rng_.below(lines_) * 64;
+        r.type = memctrl::Request::Type::Read;
+        r.completion = this;
+        r.cookie0 = static_cast<std::uint64_t>(now);
+        mc_.enqueue(std::move(r));
+        eq_.schedule(now + kPeriod, *this, 0, 1);
     }
+
+    /** Average read latency in ns. */
+    double
+    avgLatencyNs() const
+    {
+        return completed_
+            ? latSum_ / static_cast<double>(completed_) / 1000.0
+            : 0.0;
+    }
+
+  private:
+    static constexpr Tick kPeriod = nanoseconds(25.0);
+
+    memctrl::MemoryController &mc_;
+    EventQueue &eq_;
+    std::uint64_t lines_;
+    Rng rng_{42};
+    double latSum_ = 0.0;
+    std::uint64_t completed_ = 0;
 };
 
 /** Open-loop random read traffic; returns average latency in ns. */
@@ -92,26 +130,10 @@ double
 drive(memctrl::MemoryController &mc, EventQueue &eq,
       const dram::DramDeviceConfig &dev)
 {
-    Rng rng(42);
-    LatencyAccumulator acc;
-    const Tick period = nanoseconds(25.0);
-
-    std::function<void(Tick)> inject = [&](Tick t) {
-        memctrl::Request r;
-        r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
-        r.type = memctrl::Request::Type::Read;
-        r.completion = &acc;
-        r.cookie0 = static_cast<std::uint64_t>(t);
-        mc.enqueue(std::move(r));
-        eq.schedule(t + period,
-                    [&inject, t, period] { inject(t + period); });
-    };
-    eq.schedule(0, [&] { inject(0); });
+    OpenLoopReader reader(mc, eq, dev);
+    eq.schedule(0, reader, 0, 1);
     eq.runUntil(dev.timings.tREFW);
-
-    return acc.completed
-        ? acc.latSum / static_cast<double>(acc.completed) / 1000.0
-        : 0.0;
+    return reader.avgLatencyNs();
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #ifndef REFSCHED_CORE_SYSTEM_HH
 #define REFSCHED_CORE_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <vector>

@@ -35,10 +35,14 @@ Core::Core(EventQueue &eq, int id, const CoreParams &params,
 }
 
 void
-Core::ResumeCallee::fire(Tick now, std::uint64_t epoch, std::uint64_t)
+Core::ResumeCallee::fire(Tick now, std::uint64_t epoch,
+                         std::uint64_t retry)
 {
-    if (epoch == core->epoch_)
-        core->advance(now);
+    if (epoch != core->epoch_)
+        return;
+    if (retry)
+        core->waitingRetry_ = false;
+    core->advance(now);
 }
 
 void
@@ -221,12 +225,7 @@ Core::advance(Tick now)
     auto setRetry = [this] {
         waitingRetry_ = true;
         ++mcBackpressureEvents;
-        mc_.requestRetryNotification([this, e = epoch_] {
-            if (e == epoch_) {
-                waitingRetry_ = false;
-                advance(eq_.now());
-            }
-        });
+        mc_.requestRetryNotification(resumeCallee_, epoch_, 1);
     };
 
     // Returns true when execution must pause to let wall-clock catch

@@ -140,14 +140,16 @@ class Core : public os::CpuContext, public Callee
     /** Schedule advance() to resume at @p when. */
     void scheduleResume(Tick when);
 
-    /** Intrusive resume event: fires advance() if the scheduling
-     *  epoch is still current.  A separate Callee from the Core
-     *  itself, whose fire() is the read-completion path. */
+    /** Resume event and controller retry notification: fires
+     *  advance() if the scheduling epoch is still current; a retry
+     *  (@p retry = 1) first clears waitingRetry_.  A separate Callee
+     *  from the Core itself, whose fire() is the read-completion
+     *  path. */
     class ResumeCallee : public Callee
     {
       public:
         void fire(Tick now, std::uint64_t epoch,
-                  std::uint64_t arg1) override;
+                  std::uint64_t retry) override;
         Core *core = nullptr;
     };
 

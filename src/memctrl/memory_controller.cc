@@ -136,9 +136,11 @@ MemoryController::enqueue(Request req)
 }
 
 void
-MemoryController::requestRetryNotification(std::function<void()> cb)
+MemoryController::requestRetryNotification(Callee &callee,
+                                            std::uint64_t arg0,
+                                            std::uint64_t arg1)
 {
-    retryWaiters_.push_back(std::move(cb));
+    retryWaiters_.push_back({&callee, arg0, arg1});
 }
 
 void
@@ -146,10 +148,13 @@ MemoryController::notifyRetry()
 {
     if (retryWaiters_.empty())
         return;
-    std::vector<std::function<void()>> waiters;
-    waiters.swap(retryWaiters_);
-    for (auto &w : waiters)
-        w();
+    // Fire from a swapped-out list: a waiter that re-registers joins
+    // the next free-up.  Both buffers are kept, so no allocation.
+    REFSCHED_ASSERT(firingWaiters_.empty(), "notifyRetry re-entered");
+    firingWaiters_.swap(retryWaiters_);
+    for (const RetryWaiter &w : firingWaiters_)
+        w.callee->fire(eq_.now(), w.arg0, w.arg1);
+    firingWaiters_.clear();
 }
 
 int

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -144,8 +143,14 @@ class MemoryController : public dram::McRefreshView, public Callee
      */
     bool enqueue(Request req);
 
-    /** One-shot callback fired when queue space frees up. */
-    void requestRetryNotification(std::function<void()> cb);
+    /**
+     * One-shot notification: when queue space next frees up, call
+     * `callee.fire(now, arg0, arg1)`.  Waiters fire once each, in
+     * registration order; one that re-registers from inside fire()
+     * waits for the following free-up.
+     */
+    void requestRetryNotification(Callee &callee, std::uint64_t arg0,
+                                  std::uint64_t arg1);
 
     /** Register this controller's stats under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix);
@@ -438,7 +443,14 @@ class MemoryController : public dram::McRefreshView, public Callee
     ControllerParams params_;
     ClockDomain clock_;
     std::vector<Channel> channels_;
-    std::vector<std::function<void()>> retryWaiters_;
+    struct RetryWaiter
+    {
+        Callee *callee;
+        std::uint64_t arg0;
+        std::uint64_t arg1;
+    };
+    std::vector<RetryWaiter> retryWaiters_;
+    std::vector<RetryWaiter> firingWaiters_;  ///< notifyRetry's batch
     Tick epochLength_;
     validate::Probe *probe_ = nullptr;
 };

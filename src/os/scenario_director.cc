@@ -40,9 +40,8 @@ ScenarioDirector::start(const std::vector<Task *> &initialTasks)
     // expiry handler at the same tick, so churn acts on settled
     // runqueues and the new masks/placements are visible to the very
     // next pick.
-    eq_.schedule(
-        base_ + quantum, [this] { onBoundary(1); },
-        EventPriority::StatDump);
+    eq_.schedule(base_ + quantum, *this, kBoundaryCookie, 1,
+                 EventPriority::StatDump);
 }
 
 void
@@ -164,9 +163,8 @@ ScenarioDirector::onBoundary(std::uint64_t k)
         issueCopyReads();
     }
 
-    eq_.schedule(
-        base_ + (k + 1) * quantum, [this, k] { onBoundary(k + 1); },
-        EventPriority::StatDump);
+    eq_.schedule(base_ + (k + 1) * quantum, *this, kBoundaryCookie,
+                 k + 1, EventPriority::StatDump);
 }
 
 void
@@ -243,18 +241,24 @@ ScenarioDirector::armRetry()
     if (retryArmed_)
         return;
     retryArmed_ = true;
-    mem_.requestRetryNotification([this] {
-        retryArmed_ = false;
-        flushPendingWrites();
-        if (pendingWrites_.empty())
-            issueCopyReads();
-    });
+    mem_.requestRetryNotification(*this, kRetryCookie, 0);
 }
 
 void
 ScenarioDirector::fire(Tick now, std::uint64_t jobIdx,
                        std::uint64_t lineIdx)
 {
+    if (jobIdx == kBoundaryCookie) {
+        onBoundary(lineIdx);
+        return;
+    }
+    if (jobIdx == kRetryCookie) {
+        retryArmed_ = false;
+        flushPendingWrites();
+        if (pendingWrites_.empty())
+            issueCopyReads();
+        return;
+    }
     MigrationJob &job = jobs_[jobIdx];
 
     // Write the line into the destination frame (posted).

@@ -96,8 +96,9 @@ class ScenarioDirector final : public Callee
      *  first boundary.  Call after Scheduler::start(). */
     void start(const std::vector<Task *> &initialTasks);
 
-    /** Migration-copy read completions (cookie0 = job index,
-     *  cookie1 = line index). */
+    /** Quantum boundaries (cookie0 = kBoundaryCookie, cookie1 = k),
+     *  controller retries (cookie0 = kRetryCookie) and migration-copy
+     *  read completions (cookie0 = job index, cookie1 = line index). */
     void fire(Tick now, std::uint64_t jobIdx,
               std::uint64_t lineIdx) override;
 
@@ -119,6 +120,11 @@ class ScenarioDirector final : public Callee
     Scalar pagesTrimmed;
 
   private:
+    /** cookie0 markers distinguishing boundaries and retries from
+     *  copy completions (job indices never reach them). */
+    static constexpr std::uint64_t kBoundaryCookie = ~std::uint64_t{0};
+    static constexpr std::uint64_t kRetryCookie = kBoundaryCookie - 1;
+
     /** One page being copied: reads from the old frame, then posted
      *  writes to the new one; the source frame is freed when the
      *  last line completes. */

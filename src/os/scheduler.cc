@@ -157,9 +157,7 @@ Scheduler::start()
     REFSCHED_ASSERT(!started_, "scheduler already started");
     REFSCHED_ASSERT(!cpus_.empty(), "no CPUs attached");
     started_ = true;
-    eq_.schedule(
-        eq_.now(), [this] { onQuantumExpiry(); },
-        EventPriority::Scheduler);
+    eq_.schedule(eq_.now(), *this, 0, 0, EventPriority::Scheduler);
 }
 
 bool
@@ -333,9 +331,8 @@ Scheduler::onQuantumExpiry()
         cpus_[cpu]->setTask(next, now + params_.quantum);
     }
 
-    eq_.schedule(
-        now + params_.quantum, [this] { onQuantumExpiry(); },
-        EventPriority::Scheduler);
+    eq_.schedule(now + params_.quantum, *this, 0, 0,
+                 EventPriority::Scheduler);
 }
 
 Tick

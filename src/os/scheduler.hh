@@ -64,7 +64,7 @@ struct SchedulerParams
     bool bestEffort = true;
 };
 
-class Scheduler
+class Scheduler final : public Callee
 {
   public:
     Scheduler(EventQueue &eq, const SchedulerParams &params);
@@ -138,6 +138,12 @@ class Scheduler
     Scalar idleQuanta;      ///< a CPU had no runnable task
 
   private:
+    /** The quantum-expiry event (the scheduler's only event). */
+    void fire(Tick, std::uint64_t, std::uint64_t) override
+    {
+        onQuantumExpiry();
+    }
+
     void onQuantumExpiry();
 
     void emitRq(void (validate::Probe::*hook)(const validate::RqEvent &),

@@ -144,6 +144,15 @@ ServingInjector::fire(Tick now, std::uint64_t a0, std::uint64_t a1)
         onArrival(now);
         return;
     }
+    if (a0 == kRetryCookie) {
+        retryArmed_ = false;
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (slots_[i].busy
+                && slots_[i].nextIssue < cfg_.linesPerRequest)
+                issueLines(i);
+        }
+        return;
+    }
     onLineDone(now, static_cast<std::size_t>(a0),
                static_cast<std::size_t>(a1));
 }
@@ -251,14 +260,7 @@ ServingInjector::armRetry()
         return;
     retryArmed_ = true;
     ++retryWaits_;
-    mem_.requestRetryNotification([this] {
-        retryArmed_ = false;
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].busy
-                && slots_[i].nextIssue < cfg_.linesPerRequest)
-                issueLines(i);
-        }
-    });
+    mem_.requestRetryNotification(*this, kRetryCookie, 0);
 }
 
 void

@@ -124,8 +124,9 @@ class ServingInjector final : public Callee
     /** Register serving.* stats under @p prefix. */
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
-    /** Arrival events (cookie0 = kArrivalCookie) and per-line read
-     *  completions (cookie0 = slot, cookie1 = line index). */
+    /** Arrival events (cookie0 = kArrivalCookie), controller retries
+     *  (cookie0 = kRetryCookie) and per-line read completions
+     *  (cookie0 = slot, cookie1 = line index). */
     void fire(Tick now, std::uint64_t a0, std::uint64_t a1) override;
 
     // --- Accounting access (benches, tests) ---
@@ -150,8 +151,10 @@ class ServingInjector final : public Callee
     std::size_t backlogDepth() const { return backlog_.size(); }
 
   private:
-    /** cookie0 marker distinguishing arrivals from completions. */
+    /** cookie0 markers distinguishing arrivals and retries from
+     *  completions (slot indices never reach them). */
     static constexpr std::uint64_t kArrivalCookie = ~std::uint64_t{0};
+    static constexpr std::uint64_t kRetryCookie = kArrivalCookie - 1;
 
     struct Slot
     {

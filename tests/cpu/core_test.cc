@@ -299,6 +299,87 @@ TEST(CoreTest, ResumingSameTaskKeepsState)
     EXPECT_EQ(f.core.contextSwitches.value(), 1.0);
 }
 
+/** Retry-notification probe that, when fired, re-runs the core's
+ *  current task through setTask(same task), which advances it only
+ *  when it is not waiting on a retry, and records whether it issued
+ *  a DRAM read by then. */
+struct SameTaskKick final : Callee
+{
+    void
+    fire(Tick, std::uint64_t, std::uint64_t) override
+    {
+        core->setTask(task, runUntil);
+        readsAtKick = task->dramReads;
+        fired = true;
+    }
+
+    Core *core = nullptr;
+    os::Task *task = nullptr;
+    Tick runUntil = 0;
+    std::uint64_t readsAtKick = 0;
+    bool fired = false;
+};
+
+TEST(CoreTest, StaleRetryAfterContextSwitchIsIgnored)
+{
+    Fixture f;
+    f.preTouch(4 * kKiB);
+    os::Task other(2, "other", f.mc.mapping().totalBanks(),
+                   kAddressSpacePages);
+    for (Addr a = 0; a < 4 * kKiB; a += f.mc.mapping().pageBytes())
+        f.vm.translate(other, a);
+
+    // Fill the read queue with row conflicts on one bank: nothing
+    // frees up until the first CAS, some ns away.
+    for (std::uint64_t row = 0; row < 64; ++row) {
+        dram::DramCoord c;
+        c.row = 1000 + row;
+        memctrl::Request r;
+        r.paddr = f.mc.mapping().compose(c);
+        r.type = memctrl::Request::Type::Read;
+        ASSERT_TRUE(f.mc.enqueue(std::move(r)));
+    }
+
+    // Every entry is a cold DRAM miss, so each task's first read is
+    // bounced by the full queue.
+    std::uint64_t n = 0;
+    ScriptedSource src([&n] {
+        TraceEntry e;
+        e.gap = 0;
+        e.vaddr = (n++ * 64) % (4 * kKiB);
+        return e;
+    });
+    f.task.source = &src;
+    other.source = &src;
+    const Tick runUntil = microseconds(5.0);
+
+    f.core.setTask(&f.task, runUntil);
+    f.eq.runUntil(nanoseconds(1.0));
+    ASSERT_EQ(f.core.mcBackpressureEvents.value(), 1.0);
+    ASSERT_EQ(f.task.dramReads, 0u);
+
+    // Waiters fire in registration order: the stale retry of the
+    // switched-out task, then the kick, then the new task's own.
+    SameTaskKick kick;
+    kick.core = &f.core;
+    kick.task = &other;
+    kick.runUntil = runUntil;
+    f.mc.requestRetryNotification(kick, 0, 0);
+    f.core.setTask(&other, runUntil);
+    f.eq.runUntil(nanoseconds(2.0));
+    ASSERT_EQ(f.core.mcBackpressureEvents.value(), 2.0);
+    ASSERT_EQ(f.mc.readQueueSize(0), 64u);
+
+    f.eq.runUntil(runUntil);
+    ASSERT_TRUE(kick.fired);
+    // The stale retry neither resumed the new task nor cleared its
+    // waiting flag: the kick could not advance it.
+    EXPECT_EQ(kick.readsAtKick, 0u);
+    // Its own retry resumed it; the switched-out task stayed put.
+    EXPECT_GT(other.dramReads, 0u);
+    EXPECT_EQ(f.task.dramReads, 0u);
+}
+
 TEST(CoreTest, NullTaskIdles)
 {
     Fixture f;

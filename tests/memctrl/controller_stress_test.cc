@@ -11,6 +11,7 @@
 
 #include "memctrl/memory_controller.hh"
 #include "simcore/rng.hh"
+#include "testutil/closure_callee.hh"
 
 namespace refsched::memctrl
 {
@@ -61,7 +62,10 @@ TEST_P(ControllerStressTest, RandomTrafficInvariants)
     // Bursty injector: alternates hot phases (every ~6 ns) and idle
     // gaps, mixing reads and writes over random and repeated rows.
     std::uint64_t readId = 0;
-    std::function<void(Tick)> inject = [&](Tick t) {
+    testutil::ClosureCallee ev;
+    std::uint64_t inject = 0;
+    inject = ev.add([&] {
+        const Tick t = eq.now();
         const bool isWrite = rng.bernoulli(0.3);
         Addr addr;
         if (rng.bernoulli(0.4)) {
@@ -92,12 +96,10 @@ TEST_P(ControllerStressTest, RandomTrafficInvariants)
             ? nanoseconds(400.0)         // idle period
             : nanoseconds(4.0) + rng.below(nanoseconds(6.0));
         const Tick cutoff = dev.timings.tREFW / 4;
-        if (t + gap < cutoff) {
-            eq.schedule(t + gap,
-                        [&inject, t, gap] { inject(t + gap); });
-        }
-    };
-    eq.schedule(0, [&] { inject(0); });
+        if (t + gap < cutoff)
+            eq.schedule(t + gap, ev, inject, 0);
+    });
+    eq.schedule(0, ev, inject, 0);
 
     eq.runUntil(dev.timings.tREFW / 4);
     // Injection has stopped; drain everything still queued.

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "simcore/logging.hh"
 #include "simcore/rng.hh"
+#include "testutil/closure_callee.hh"
 
 namespace refsched::memctrl
 {
@@ -192,15 +194,79 @@ TEST(MemoryControllerTest, ReadQueueFillsAndRejects)
     EXPECT_EQ(h.mc.readQueueSize(0), 64u);
 }
 
+/**
+ * Retry-notification test double: logs every (arg0, arg1) it is
+ * fired with; a waiter with arg0 == rearmKey re-registers itself
+ * (arg1 + 1) from inside fire() while rearms lasts.
+ */
+struct RetryLog final : Callee
+{
+    explicit RetryLog(MemoryController &m) : mc(m) {}
+
+    void
+    fire(Tick now, std::uint64_t a0, std::uint64_t a1) override
+    {
+        fired.emplace_back(a0, a1);
+        at.push_back(now);
+        if (a0 == rearmKey && rearms > 0) {
+            --rearms;
+            mc.requestRetryNotification(*this, a0, a1 + 1);
+        }
+    }
+
+    MemoryController &mc;
+    std::uint64_t rearmKey = ~std::uint64_t{0};
+    int rearms = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> fired;
+    std::vector<Tick> at;
+};
+
 TEST(MemoryControllerTest, RetryNotificationFiresWhenSpaceFrees)
 {
     Harness h;
     for (std::uint64_t i = 0; i < 64; ++i)
         h.read(h.addrOf(0, 0, i));
-    bool retried = false;
-    h.mc.requestRetryNotification([&] { retried = true; });
+    RetryLog log(h.mc);
+    h.mc.requestRetryNotification(log, 7, 9);
     h.eq.runUntil(microseconds(2));
-    EXPECT_TRUE(retried);
+    ASSERT_EQ(log.fired.size(), 1u);
+    EXPECT_EQ(log.fired[0], std::make_pair(std::uint64_t{7},
+                                           std::uint64_t{9}));
+}
+
+TEST(MemoryControllerTest, RetryWaitersFireOnceInOrderAndReArmLater)
+{
+    using Fire = std::pair<std::uint64_t, std::uint64_t>;
+    Harness h;
+    for (std::uint64_t i = 0; i < 64; ++i)
+        h.read(h.addrOf(0, 0, i));
+    RetryLog log(h.mc);
+    log.rearmKey = 2;
+    log.rearms = 1;
+    h.mc.requestRetryNotification(log, 1, 10);
+    h.mc.requestRetryNotification(log, 2, 20);
+    h.mc.requestRetryNotification(log, 3, 30);
+
+    // Step to the first free-up: all three fire once, in
+    // registration order, with their own cookies; the waiter that
+    // re-registered from inside fire() is not fired again by it.
+    while (log.fired.empty())
+        ASSERT_TRUE(h.eq.runOne());
+    EXPECT_EQ(log.fired,
+              (std::vector<Fire>{{1, 10}, {2, 20}, {3, 30}}));
+    EXPECT_EQ(log.at, (std::vector<Tick>(3, log.at[0])));
+
+    // The next free-up fires the re-armed waiter, and only it.
+    while (log.fired.size() == 3)
+        ASSERT_TRUE(h.eq.runOne());
+    ASSERT_EQ(log.fired.size(), 4u);
+    EXPECT_EQ(log.fired[3], (Fire{2, 21}));
+    EXPECT_GT(log.at[3], log.at[0]);
+
+    // One-shot: nothing is left to fire once the queue drains.
+    h.eq.runUntil(microseconds(10));
+    EXPECT_EQ(h.mc.readQueueSize(0), 0u);
+    EXPECT_EQ(log.fired.size(), 4u);
 }
 
 TEST(MemoryControllerTest, WritesArePostedAndDrainAtHighWatermark)
@@ -423,7 +489,10 @@ TEST(MemoryControllerRefreshTest, PausedRowsAreEventuallyRefreshed)
     Rng rng(5);
 
     // Sporadic random reads to provoke pauses throughout a window.
-    std::function<void(Tick)> inject = [&](Tick t) {
+    testutil::ClosureCallee ev;
+    std::uint64_t inject = 0;
+    inject = ev.add([&] {
+        const Tick t = eq.now();
         Request r;
         r.paddr = rng.below(dev.org.totalBytes() / 64) * 64;
         r.type = Request::Type::Read;
@@ -431,11 +500,9 @@ TEST(MemoryControllerRefreshTest, PausedRowsAreEventuallyRefreshed)
         mc.enqueue(std::move(r));
         const Tick gap = nanoseconds(150.0);
         if (t + gap < dev.timings.tREFW)
-            eq.schedule(t + gap, [&inject, t, gap] {
-                inject(t + gap);
-            });
-    };
-    eq.schedule(0, [&] { inject(0); });
+            eq.schedule(t + gap, ev, inject, 0);
+    });
+    eq.schedule(0, ev, inject, 0);
 
     eq.runUntil(dev.timings.tREFW + microseconds(5.0));
     const double expected = static_cast<double>(

@@ -16,11 +16,14 @@
 
 #include "simcore/event_queue.hh"
 #include "simcore/rng.hh"
+#include "testutil/closure_callee.hh"
 
 namespace refsched
 {
 namespace
 {
+
+using testutil::ClosureCallee;
 
 /** One pending event in the reference model. */
 struct ModelEvent
@@ -45,12 +48,19 @@ firesBefore(const ModelEvent &a, const ModelEvent &b)
 /**
  * Drives an EventQueue and a reference model through the same random
  * operation stream, comparing the observed firing order window by
- * window.
+ * window.  Every event is the driver itself with the event id in
+ * arg0.
  */
-class StressDriver
+class StressDriver final : public Callee
 {
   public:
     explicit StressDriver(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    fire(Tick, std::uint64_t id, std::uint64_t) override
+    {
+        fired_.push_back(static_cast<int>(id));
+    }
 
     void
     run(int windows, int opsPerWindow)
@@ -94,9 +104,8 @@ class StressDriver
         const Tick when = eq_.now() + rng_.below(3000);
         const auto prio = kPrios[rng_.below(4)];
         const int id = nextId_++;
-        auto handle =
-            eq_.schedule(when, [this, id] { fired_.push_back(id); },
-                         prio);
+        auto handle = eq_.schedule(
+            when, *this, static_cast<std::uint64_t>(id), 0, prio);
         model_.push_back(
             {when, static_cast<int>(prio), nextSeq_++, id});
         handles_.push_back(std::move(handle));
@@ -189,15 +198,17 @@ TEST(EventQueueStressTest, RandomInterleavingMatchesReferenceModel)
 TEST(EventQueueStressTest, SlotRecyclingSurvivesHeavyChurn)
 {
     EventQueue eq;
+    ClosureCallee ev;
     // Far more schedule/cancel cycles than live events: every cycle
     // must recycle slots (a leak would grow the pool unboundedly and
     // a stale-generation bug would fire a cancelled callback).
     int fired = 0;
+    const std::uint64_t doomedFn =
+        ev.add([] { FAIL() << "cancelled event fired"; });
+    const std::uint64_t firedFn = ev.add([&] { ++fired; });
     for (int round = 0; round < 10'000; ++round) {
-        auto doomed = eq.schedule(eq.now() + 100, [] {
-            FAIL() << "cancelled event fired";
-        });
-        eq.schedule(eq.now() + 1, [&] { ++fired; });
+        auto doomed = eq.schedule(eq.now() + 100, ev, doomedFn, 0);
+        eq.schedule(eq.now() + 1, ev, firedFn, 0);
         doomed.cancel();
         eq.runUntil(eq.now() + 1);
     }
@@ -209,8 +220,9 @@ TEST(EventQueueStressTest, SlotRecyclingSurvivesHeavyChurn)
 TEST(EventQueueStressTest, CancelOfFiredHandleBeforeSlotReuse)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
-    auto h1 = eq.schedule(10, [&] { ++fired; });
+    auto h1 = ev.schedule(eq, 10, [&] { ++fired; });
     eq.runUntil(10);
     EXPECT_EQ(fired, 1);
     EXPECT_FALSE(h1.pending());
@@ -224,7 +236,7 @@ TEST(EventQueueStressTest, CancelOfFiredHandleBeforeSlotReuse)
     // The next schedule reuses that very slot (LIFO free list).  The
     // stale handle must not be able to cancel the new occupant.
     int fired2 = 0;
-    auto h2 = eq.schedule(20, [&] { ++fired2; });
+    auto h2 = ev.schedule(eq, 20, [&] { ++fired2; });
     h1.cancel();
     EXPECT_TRUE(h2.pending());
     EXPECT_EQ(eq.liveCount(), 1u);
@@ -236,8 +248,9 @@ TEST(EventQueueStressTest, CancelOfFiredHandleBeforeSlotReuse)
 TEST(EventQueueStressTest, HandleOutlivesFiredSlotReuse)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
-    auto old = eq.schedule(10, [&] { ++fired; });
+    auto old = ev.schedule(eq, 10, [&] { ++fired; });
     eq.runUntil(10);
     EXPECT_EQ(fired, 1);
 
@@ -245,7 +258,7 @@ TEST(EventQueueStressTest, HandleOutlivesFiredSlotReuse)
     // neither report pending nor cancel its successor.
     int successors = 0;
     for (int i = 0; i < 64; ++i)
-        eq.schedule(20, [&] { ++successors; });
+        ev.schedule(eq, 20, [&] { ++successors; });
     EXPECT_FALSE(old.pending());
     old.cancel();
     eq.runUntil(20);
@@ -255,9 +268,10 @@ TEST(EventQueueStressTest, HandleOutlivesFiredSlotReuse)
 TEST(EventQueueStressTest, SelfCancelDuringCallbackIsSafe)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
     EventHandle self;
-    self = eq.schedule(10, [&] {
+    self = ev.schedule(eq, 10, [&] {
         ++fired;
         // Firing retires the slot before the callback runs, so a
         // handle to the event being executed is already stale.
@@ -271,19 +285,20 @@ TEST(EventQueueStressTest, SelfCancelDuringCallbackIsSafe)
 TEST(EventQueueStressTest, RescheduleFromCallbackKeepsOrdering)
 {
     EventQueue eq;
+    ClosureCallee ev;
     std::vector<int> order;
     EventHandle pending;
     // A callback cancels a sibling and schedules a replacement at
     // the same tick; the replacement runs after everything already
     // queued for that tick (fresh sequence number).
-    eq.schedule(10, [&] {
+    ev.schedule(eq, 10, [&] {
         order.push_back(0);
         pending.cancel();
-        eq.schedule(10, [&] { order.push_back(3); });
+        ev.schedule(eq, 10, [&] { order.push_back(3); });
     });
-    pending = eq.schedule(10, [&] { order.push_back(-1); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(10, [&] { order.push_back(2); });
+    pending = ev.schedule(eq, 10, [&] { order.push_back(-1); });
+    ev.schedule(eq, 10, [&] { order.push_back(1); });
+    ev.schedule(eq, 10, [&] { order.push_back(2); });
     eq.runUntil(10);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }

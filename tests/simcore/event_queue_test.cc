@@ -7,11 +7,14 @@
 #include <vector>
 
 #include "simcore/logging.hh"
+#include "testutil/closure_callee.hh"
 
 namespace refsched
 {
 namespace
 {
+
+using testutil::ClosureCallee;
 
 TEST(EventQueueTest, StartsEmptyAtTickZero)
 {
@@ -25,10 +28,11 @@ TEST(EventQueueTest, StartsEmptyAtTickZero)
 TEST(EventQueueTest, RunsEventsInTimeOrder)
 {
     EventQueue eq;
+    ClosureCallee ev;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    ev.schedule(eq, 30, [&] { order.push_back(3); });
+    ev.schedule(eq, 10, [&] { order.push_back(1); });
+    ev.schedule(eq, 20, [&] { order.push_back(2); });
     eq.runUntil(100);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 100u);
@@ -37,9 +41,10 @@ TEST(EventQueueTest, RunsEventsInTimeOrder)
 TEST(EventQueueTest, SameTickFifoWithinPriority)
 {
     EventQueue eq;
+    ClosureCallee ev;
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
-        eq.schedule(42, [&order, i] { order.push_back(i); });
+        ev.schedule(eq, 42, [&order, i] { order.push_back(i); });
     eq.runUntil(42);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -47,14 +52,15 @@ TEST(EventQueueTest, SameTickFifoWithinPriority)
 TEST(EventQueueTest, PriorityOrdersSameTick)
 {
     EventQueue eq;
+    ClosureCallee ev;
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(2); },
+    ev.schedule(eq, 5, [&] { order.push_back(2); },
                 EventPriority::Scheduler);
-    eq.schedule(5, [&] { order.push_back(0); },
+    ev.schedule(eq, 5, [&] { order.push_back(0); },
                 EventPriority::ClockEdge);
-    eq.schedule(5, [&] { order.push_back(3); },
+    ev.schedule(eq, 5, [&] { order.push_back(3); },
                 EventPriority::StatDump);
-    eq.schedule(5, [&] { order.push_back(1); },
+    ev.schedule(eq, 5, [&] { order.push_back(1); },
                 EventPriority::Default);
     eq.runUntil(5);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -63,9 +69,10 @@ TEST(EventQueueTest, PriorityOrdersSameTick)
 TEST(EventQueueTest, RunUntilIsInclusiveAndAdvancesTime)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
-    eq.schedule(100, [&] { ++fired; });
-    eq.schedule(101, [&] { ++fired; });
+    ev.schedule(eq, 100, [&] { ++fired; });
+    ev.schedule(eq, 101, [&] { ++fired; });
     EXPECT_EQ(eq.runUntil(100), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 100u);
@@ -77,16 +84,18 @@ TEST(EventQueueTest, RunUntilIsInclusiveAndAdvancesTime)
 TEST(EventQueueTest, SchedulingInThePastPanics)
 {
     EventQueue eq;
-    eq.schedule(50, [] {});
+    ClosureCallee ev;
+    ev.schedule(eq, 50, [] {});
     eq.runUntil(60);
-    EXPECT_THROW(eq.schedule(10, [] {}), PanicError);
+    EXPECT_THROW(ev.schedule(eq, 10, [] {}), PanicError);
 }
 
 TEST(EventQueueTest, CancelPreventsExecution)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
-    auto handle = eq.schedule(10, [&] { ++fired; });
+    auto handle = ev.schedule(eq, 10, [&] { ++fired; });
     EXPECT_TRUE(handle.pending());
     handle.cancel();
     EXPECT_FALSE(handle.pending());
@@ -98,7 +107,8 @@ TEST(EventQueueTest, CancelPreventsExecution)
 TEST(EventQueueTest, CancelIsIdempotentAndSafeAfterFire)
 {
     EventQueue eq;
-    auto handle = eq.schedule(10, [] {});
+    ClosureCallee ev;
+    auto handle = ev.schedule(eq, 10, [] {});
     eq.runUntil(10);
     EXPECT_FALSE(handle.pending());
     handle.cancel();  // no-op
@@ -108,13 +118,15 @@ TEST(EventQueueTest, CancelIsIdempotentAndSafeAfterFire)
 TEST(EventQueueTest, EventsCanScheduleMoreEvents)
 {
     EventQueue eq;
+    ClosureCallee ev;
     std::vector<Tick> at;
-    std::function<void()> chain = [&] {
+    std::uint64_t chain = 0;
+    chain = ev.add([&] {
         at.push_back(eq.now());
         if (at.size() < 4)
-            eq.scheduleIn(10, chain);
-    };
-    eq.schedule(0, chain);
+            eq.schedule(eq.now() + 10, ev, chain, 0);
+    });
+    eq.schedule(0, ev, chain, 0);
     eq.runUntil(1000);
     EXPECT_EQ(at, (std::vector<Tick>{0, 10, 20, 30}));
 }
@@ -122,8 +134,9 @@ TEST(EventQueueTest, EventsCanScheduleMoreEvents)
 TEST(EventQueueTest, NextEventTickSkipsCancelled)
 {
     EventQueue eq;
-    auto h = eq.schedule(10, [] {});
-    eq.schedule(20, [] {});
+    ClosureCallee ev;
+    auto h = ev.schedule(eq, 10, [] {});
+    ev.schedule(eq, 20, [] {});
     h.cancel();
     EXPECT_EQ(eq.nextEventTick(), 20u);
 }
@@ -131,9 +144,10 @@ TEST(EventQueueTest, NextEventTickSkipsCancelled)
 TEST(EventQueueTest, RunOneExecutesSingleEvent)
 {
     EventQueue eq;
+    ClosureCallee ev;
     int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.schedule(6, [&] { ++fired; });
+    ev.schedule(eq, 5, [&] { ++fired; });
+    ev.schedule(eq, 6, [&] { ++fired; });
     EXPECT_TRUE(eq.runOne());
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 5u);
@@ -142,8 +156,9 @@ TEST(EventQueueTest, RunOneExecutesSingleEvent)
 TEST(EventQueueTest, ExecutedCountAccumulates)
 {
     EventQueue eq;
+    ClosureCallee ev;
     for (int i = 0; i < 7; ++i)
-        eq.schedule(static_cast<Tick>(i), [] {});
+        ev.schedule(eq, static_cast<Tick>(i), [] {});
     eq.runUntil(100);
     EXPECT_EQ(eq.executedCount(), 7u);
 }
@@ -151,10 +166,11 @@ TEST(EventQueueTest, ExecutedCountAccumulates)
 TEST(EventQueueTest, ScheduleAtCurrentTickRuns)
 {
     EventQueue eq;
-    eq.schedule(10, [] {});
+    ClosureCallee ev;
+    ev.schedule(eq, 10, [] {});
     eq.runUntil(10);
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
+    ev.schedule(eq, 10, [&] { ++fired; });
     eq.runUntil(10);
     EXPECT_EQ(fired, 1);
 }
