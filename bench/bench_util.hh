@@ -353,11 +353,6 @@ class GridRunner
     void
     reportValidation() const
     {
-        if (!validate::kValidateCompiledIn) {
-            std::cerr << "--validate requested but this build has "
-                         "REFSCHED_VALIDATE=0; checkers were inert\n";
-            return;
-        }
         std::uint64_t violations = 0;
         std::string first;
         for (const auto &m : results_) {

@@ -112,32 +112,26 @@ System::System(const SystemConfig &cfg)
     // Install the invariant checkers BEFORE the tasks build so the
     // OS auditor observes the pre-touch page allocations too.
     if (cfg_.validate) {
-        if (!validate::kValidateCompiledIn) {
-            warn("cfg.validate requested but the build has "
-                 "REFSCHED_VALIDATE=0; checkers are inert");
-        } else {
-            enableProbeHub();
-            probeHub_->add(
-                std::make_unique<validate::TimingAuditor>(dev_));
-            probeHub_->add(
-                std::make_unique<validate::RefreshWindowMonitor>(
-                    dev_, cfg_.refreshPolicy(),
-                    cfg_.mcParams.maxPostponedRefreshes,
-                    cfg_.mcParams.refreshPausing));
-            probeHub_->add(std::make_unique<validate::OsAuditor>(
-                mc_->mapping(), buddy_.get(),
-                cfg_.refreshAwareScheduling, cfg_.etaThresh,
-                cfg_.bestEffort));
-            probeHub_->add(
-                std::make_unique<validate::ScenarioAuditor>(
-                    mc_->mapping()));
-        }
+        enableProbeHub();
+        probeHub_->add(
+            std::make_unique<validate::TimingAuditor>(dev_));
+        probeHub_->add(
+            std::make_unique<validate::RefreshWindowMonitor>(
+                dev_, cfg_.refreshPolicy(),
+                cfg_.mcParams.maxPostponedRefreshes,
+                cfg_.mcParams.refreshPausing));
+        probeHub_->add(std::make_unique<validate::OsAuditor>(
+            mc_->mapping(), buddy_.get(),
+            cfg_.refreshAwareScheduling, cfg_.etaThresh,
+            cfg_.bestEffort));
+        probeHub_->add(
+            std::make_unique<validate::ScenarioAuditor>(
+                mc_->mapping()));
     }
 
     buildTasks();
     assignBankMasks();
-    if (cfg_.preTouchPages)
-        preTouchFootprints();
+    preTouchFootprints();
 
     if (!cfg_.scenario.empty()) {
         os::ScenarioDirector::Hooks hooks;
@@ -242,13 +236,8 @@ System::buildTasks()
     // Per-task macro-phase schedules from the scenario script.
     std::vector<workload::PhaseSchedule> phases(
         static_cast<std::size_t>(cfg_.totalTasks()));
-    for (const auto &[idx, sched] : cfg_.scenario.initialPhases) {
-        if (idx < cfg_.totalTasks())
-            phases[static_cast<std::size_t>(idx)] = sched;
-        else
-            warn("scenario phase= names task ", idx, " but only ",
-                 cfg_.totalTasks(), " task(s) exist; ignored");
-    }
+    for (const auto &[idx, sched] : cfg_.scenario.initialPhases)
+        phases[static_cast<std::size_t>(idx)] = sched;
 
     // Capacity guard: scaled footprints must fit physical memory
     // (the paper's region-of-interest working sets fit its DIMM; at
@@ -309,9 +298,9 @@ System::buildTasks()
         // evenly (task i runs on core i % numCores and belongs to
         // per-core partition group i / numCores).
         sched_->addTask(task.get(), i % cfg_.numCores);
-        REFSCHED_PROBE(probeHub_.get(),
-                       onTaskSpawn({eq_.now(), task->pid(), true,
-                                    i % cfg_.numCores}));
+        if (probeHub_)
+            probeHub_->onTaskSpawn({eq_.now(), task->pid(), true,
+                                    i % cfg_.numCores});
         sources_.push_back(std::move(src));
         tasks_.push_back(std::move(task));
     }

@@ -104,8 +104,6 @@ SystemConfig::deviceConfig() const
 Tick
 SystemConfig::effectiveQuantum() const
 {
-    if (quantum != 0)
-        return quantum;
     // The paper's alignment: one quantum per per-bank refresh slot
     // (64 ms / 16 banks = 4 ms; 32 ms / 16 banks = 2 ms).  Channels
     // refresh in lock-step, so only banks-per-channel matters.
@@ -157,6 +155,11 @@ SystemConfig::check() const
     }
     if (etaThresh < 1 || etaThresh > (1 << 20))
         fatal("etaThresh must be 1..", 1 << 20, ", got ", etaThresh);
+    for (const auto &[idx, sched] : scenario.initialPhases) {
+        if (idx < 0 || idx >= totalTasks())
+            fatal("scenario phase= names task ", idx, " but only ",
+                  totalTasks(), " task(s) exist");
+    }
     serving.check();
     telemetry.check();
 }

@@ -91,10 +91,6 @@ struct SystemConfig
     int banksPerTaskPerRank = -1;
 
     // --- OS ---
-    /** 0 = auto: tREFW / total banks, aligning quanta with the
-     *  sequential refresh slots (4 ms for 64 ms/16 banks). */
-    Tick quantum = 0;
-
     /**
      * Algorithm 3's fairness threshold: how many in-order runqueue
      * candidates the refresh-aware pick may examine.  The default
@@ -105,15 +101,9 @@ struct SystemConfig
     int etaThresh = 64;
     bool bestEffort = true;
 
-    /** Touch every task page at setup (the paper's tasks have
-     *  allocated their footprint before the region of interest). */
-    bool preTouchPages = true;
-
     /**
      * Attach the invariant checkers (JEDEC timing auditor, refresh
-     * window monitor, OS auditor) for this run.  Requires the build
-     * to have REFSCHED_VALIDATE=1 (the default); with validation
-     * compiled out this flag warns and has no effect.
+     * window monitor, OS auditor, scenario auditor) for this run.
      */
     bool validate = false;
 
@@ -165,7 +155,9 @@ struct SystemConfig
     /** Derived: DRAM device config (timings, organization). */
     dram::DramDeviceConfig deviceConfig() const;
 
-    /** Derived: effective quantum (auto rule applied). */
+    /** Derived: the scheduling quantum, tREFW / total banks, aligning
+     *  quanta with the sequential refresh slots (4 ms for 64 ms/16
+     *  banks). */
     Tick effectiveQuantum() const;
 
     /** Derived: effective banks-per-task-per-rank. */

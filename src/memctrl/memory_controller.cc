@@ -104,12 +104,11 @@ MemoryController::enqueue(Request req)
             c.stats.readQPeakDepth.set(
                 static_cast<double>(c.readQ.size()));
         noteQueuedRequest(c, bankIdx, row, true, +1);
-        REFSCHED_PROBE(
-            probe_,
-            onMcQueue({now, ch, true, true,
-                       static_cast<int>(c.readQ.size()),
-                       static_cast<int>(c.writeQ.size()),
-                       c.blockedReadsNow}));
+        if (probe_)
+            probe_->onMcQueue({now, ch, true, true,
+                               static_cast<int>(c.readQ.size()),
+                               static_cast<int>(c.writeQ.size()),
+                               c.blockedReadsNow});
     } else {
         if (c.writeQ.full())
             return false;
@@ -123,12 +122,11 @@ MemoryController::enqueue(Request req)
             c.stats.writeQPeakDepth.set(
                 static_cast<double>(c.writeQ.size()));
         noteQueuedRequest(c, bankIdx, row, false, +1);
-        REFSCHED_PROBE(
-            probe_,
-            onMcQueue({now, ch, true, false,
-                       static_cast<int>(c.readQ.size()),
-                       static_cast<int>(c.writeQ.size()),
-                       c.blockedReadsNow}));
+        if (probe_)
+            probe_->onMcQueue({now, ch, true, false,
+                               static_cast<int>(c.readQ.size()),
+                               static_cast<int>(c.writeQ.size()),
+                               c.blockedReadsNow});
     }
 
     scheduleTick(ch, clock_.nextEdgeAtOrAfter(now));
@@ -501,13 +499,12 @@ MemoryController::refreshEngineStep(Channel &c, int ch, Tick &wake)
         }
         if (b.isOpen()) {
             if (now >= b.preAllowedAt) {
-                REFSCHED_PROBE(
-                    probe_,
-                    onDramCommand({now, validate::DramOp::Pre, ch,
-                                   cmd.rank, bankInRank,
-                                   static_cast<std::uint64_t>(
-                                       b.openRow),
-                                   0}));
+                if (probe_)
+                    probe_->onDramCommand({now, validate::DramOp::Pre, ch,
+                                           cmd.rank, bankInRank,
+                                           static_cast<std::uint64_t>(
+                                               b.openRow),
+                                           0});
                 mcPrecharge(c, bankIndex(cmd.rank, bankInRank), t);
                 return 1;
             }
@@ -533,11 +530,11 @@ MemoryController::refreshEngineStep(Channel &c, int ch, Tick &wake)
         }
         if (!allReady)
             return false;
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::RefAllBank, ch,
-                           cmd.rank, dram::RefreshCommand::kAllBanksInRank,
-                           cmd.rows, now + cmd.tRFC}));
+        if (probe_)
+            probe_->onDramCommand(
+                {now, validate::DramOp::RefAllBank, ch, cmd.rank,
+                 dram::RefreshCommand::kAllBanksInRank, cmd.rows,
+                 now + cmd.tRFC});
         rank.startAllBankRefresh(now, cmd.tRFC);
         for (auto &b : rank.banks)
             b.rowsRefreshedInWindow += cmd.rows;
@@ -552,11 +549,10 @@ MemoryController::refreshEngineStep(Channel &c, int ch, Tick &wake)
             return true;
         if (s == 2)
             return false;
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::RefPerBank, ch,
-                           cmd.rank, cmd.bank, cmd.rows,
-                           now + cmd.tRFC}));
+        if (probe_)
+            probe_->onDramCommand({now, validate::DramOp::RefPerBank, ch,
+                                   cmd.rank, cmd.bank, cmd.rows,
+                                   now + cmd.tRFC});
         b.startRefresh(now, cmd.tRFC, cmd.rows,
                        params_.refreshPausing && !c.refreshForced);
         b.rowsRefreshedInWindow += cmd.rows;
@@ -656,13 +652,12 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
                 Bank &fb = bankState(frontBank);
                 const auto remaining = fb.pauseRefresh(now);
                 if (remaining > 0) {
-                    REFSCHED_PROBE(
-                        probe_,
-                        onDramCommand({now, validate::DramOp::RefPause,
-                                       ch, coord.rank, coord.bank,
-                                       static_cast<std::uint64_t>(
-                                           remaining),
-                                       fb.refreshingUntil}));
+                    if (probe_)
+                        probe_->onDramCommand({now, validate::DramOp::RefPause,
+                                               ch, coord.rank, coord.bank,
+                                               static_cast<std::uint64_t>(
+                                                   remaining),
+                                               fb.refreshingUntil});
                     fb.rowsRefreshedInWindow -= remaining;
                     c.stats.rowsRefreshed -=
                         static_cast<double>(remaining);
@@ -691,13 +686,12 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
             ++c.stats.rowHits;
         else
             ++c.stats.rowMisses;
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now,
-                           isWriteQueue ? validate::DramOp::Write
-                                        : validate::DramOp::Read,
-                           ch, r.coord.rank, r.coord.bank,
-                           r.coord.row, 0}));
+        if (probe_)
+            probe_->onDramCommand({now,
+                                   isWriteQueue ? validate::DramOp::Write
+                                                : validate::DramOp::Read,
+                                   ch, r.coord.rank, r.coord.bank,
+                                   r.coord.row, 0});
         if (isWriteQueue) {
             b.write(now, t);
             ++c.stats.writes;
@@ -716,12 +710,11 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
         noteQueuedRequest(c, bankIdx, r.coord.row, !isWriteQueue, -1);
         accrueOccupancy(c, now);
         q.erase(slot);
-        REFSCHED_PROBE(
-            probe_,
-            onMcQueue({now, ch, false, !isWriteQueue,
-                       static_cast<int>(c.readQ.size()),
-                       static_cast<int>(c.writeQ.size()),
-                       c.blockedReadsNow}));
+        if (probe_)
+            probe_->onMcQueue({now, ch, false, !isWriteQueue,
+                               static_cast<int>(c.readQ.size()),
+                               static_cast<int>(c.writeQ.size()),
+                               c.blockedReadsNow});
         notifyRetry();
         return true;
     };
@@ -729,11 +722,10 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
     auto issueAct = [&](std::uint32_t slot) {
         Request &r = q.request(slot);
         auto &rank = c.ranks[static_cast<std::size_t>(r.coord.rank)];
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::Act, ch,
-                           r.coord.rank, r.coord.bank, r.coord.row,
-                           0}));
+        if (probe_)
+            probe_->onDramCommand({now, validate::DramOp::Act, ch,
+                                   r.coord.rank, r.coord.bank, r.coord.row,
+                                   0});
         mcActivate(c, bankIndex(r.coord.rank, r.coord.bank),
                    r.coord.row, t);
         rank.noteActivate(now, t);
@@ -744,13 +736,12 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
 
     auto issuePre = [&](int rankIdx, int bankInRank) {
         const int bankIdx = bankIndex(rankIdx, bankInRank);
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::Pre, ch, rankIdx,
-                           bankInRank,
-                           static_cast<std::uint64_t>(
-                               bankState(bankIdx).openRow),
-                           0}));
+        if (probe_)
+            probe_->onDramCommand({now, validate::DramOp::Pre, ch, rankIdx,
+                                   bankInRank,
+                                   static_cast<std::uint64_t>(
+                                       bankState(bankIdx).openRow),
+                                   0});
         mcPrecharge(c, bankIdx, t);
         return true;
     };
@@ -771,14 +762,14 @@ MemoryController::serveQueue(Channel &c, int ch, BankedRequestQueue &q,
     // veto forever under a sustained hit streak.  When the front
     // request cannot issue anything this tick, younger requests
     // proceed as usual (the cap is a priority, not a barrier).
-    if (!isWriteQueue && params_.readStarvationThreshold > 0) {
+    if (!isWriteQueue) {
         const std::uint32_t fs = q.front();
         const Request &fr = q.request(fs);
-        if (now - fr.enqueuedAt < params_.readStarvationThreshold) {
+        if (now - fr.enqueuedAt < kReadStarvationThreshold) {
             // Not starved yet: wake at the promotion tick so the
             // threshold crossing is never slept through (an early
             // wake that changes nothing simply re-sleeps).
-            cand(fr.enqueuedAt + params_.readStarvationThreshold);
+            cand(fr.enqueuedAt + kReadStarvationThreshold);
         } else {
             const int fIdx = bankIndex(fr.coord.rank, fr.coord.bank);
             if (!bankBlocked(fIdx)) {
@@ -973,12 +964,11 @@ MemoryController::idleRowPrecharge(Channel &c,
             cand(b.preAllowedAt);
             continue;
         }
-        REFSCHED_PROBE(
-            probe_,
-            onDramCommand({now, validate::DramOp::Pre, ch,
-                           bankIdx / cfg_.org.banksPerRank,
-                           bankIdx % cfg_.org.banksPerRank,
-                           static_cast<std::uint64_t>(b.openRow), 0}));
+        if (probe_)
+            probe_->onDramCommand({now, validate::DramOp::Pre, ch,
+                                   bankIdx / cfg_.org.banksPerRank,
+                                   bankIdx % cfg_.org.banksPerRank,
+                                   static_cast<std::uint64_t>(b.openRow), 0});
         mcPrecharge(c, bankIdx, t);
         if (idleTimeout > 0)
             ++c.stats.idleRowCloses;

@@ -94,19 +94,6 @@ struct ControllerParams
     bool refreshPausing = false;
 
     /**
-     * FR-FCFS starvation cap for reads (ticks; 0 disables).  The CPU
-     * retires in order, so a read bypassed indefinitely by younger
-     * row hits blocks its core no matter how much bandwidth the
-     * channel sustains.  Once the oldest queued read has waited this
-     * long, its next command (CAS, ACT, or even a precharge of a row
-     * younger requests still want) issues ahead of any younger hit.
-     * 256 DDR3-1600 clocks, ~8x the mean loaded read latency:
-     * healthy FR-FCFS reordering never reaches it, a pathological
-     * hit streak is bounded by it.
-     */
-    Tick readStarvationThreshold = 320000;
-
-    /**
      * Idle-row auto-close timeout for the Open page policy (ticks;
      * 0 keeps rows open forever).  A strictly-open policy taxes
      * irregular access streams: every revisit of a bank whose stale
@@ -280,6 +267,19 @@ class MemoryController : public dram::McRefreshView, public Callee
                                           Tick elapsed) const;
 
   private:
+    /**
+     * FR-FCFS starvation cap for reads (ticks).  The CPU retires in
+     * order, so a read bypassed indefinitely by younger row hits
+     * blocks its core no matter how much bandwidth the channel
+     * sustains.  Once the oldest queued read has waited this long,
+     * its next command (CAS, ACT, or even a precharge of a row
+     * younger requests still want) issues ahead of any younger hit.
+     * 256 DDR3-1600 clocks, ~8x the mean loaded read latency:
+     * healthy FR-FCFS reordering never reaches it, a pathological
+     * hit streak is bounded by it.
+     */
+    static constexpr Tick kReadStarvationThreshold = 320000;
+
     struct Channel
     {
         Channel(const dram::DramDeviceConfig &cfg,

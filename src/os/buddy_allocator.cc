@@ -106,11 +106,11 @@ BuddyAllocator::grant(Task *task, std::uint64_t pfn, int bank,
         if (fallback)
             ++task->fallbackAllocs;
     }
-    REFSCHED_PROBE(probe_,
-                   onPageAlloc({clock_ ? clock_->now() : 0,
-                                task ? task->pid() : -1, pfn, fallback,
-                                task ? &task->possibleBanksVector
-                                     : nullptr}));
+    if (probe_)
+        probe_->onPageAlloc({clock_ ? clock_->now() : 0,
+                             task ? task->pid() : -1, pfn, fallback,
+                             task ? &task->possibleBanksVector
+                                  : nullptr});
     return pfn;
 }
 
@@ -174,9 +174,9 @@ BuddyAllocator::freePage(std::uint64_t pfn, Pid owner)
     const int bank = mapping_.bankOfFrame(pfn);
     perBankFree_[static_cast<std::size_t>(bank)].push_back(pfn);
     freeFrames_ += 1;
-    REFSCHED_PROBE(probe_,
-                   onPageFree({clock_ ? clock_->now() : 0, pfn,
-                               owner}));
+    if (probe_)
+        probe_->onPageFree({clock_ ? clock_->now() : 0, pfn,
+                            owner});
 }
 
 void

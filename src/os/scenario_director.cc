@@ -52,8 +52,8 @@ ScenarioDirector::finalizeKill(Task *task)
     live_.erase(std::remove(live_.begin(), live_.end(), task),
                 live_.end());
     lastEpoch_.erase(task->pid());
-    REFSCHED_PROBE(probe_,
-                   onTaskExit({eq_.now(), task->pid(), false, -1}));
+    if (probe_)
+        probe_->onTaskExit({eq_.now(), task->pid(), false, -1});
     ++kills;
 }
 
@@ -102,9 +102,9 @@ ScenarioDirector::onBoundary(std::uint64_t k)
             live_.push_back(task);
             lastEpoch_[task->pid()] = 0;
             sched_.addTask(task, ev.cpu);
-            REFSCHED_PROBE(
-                probe_, onTaskSpawn({eq_.now(), task->pid(), true,
-                                     sched_.cpuOf(task)}));
+            if (probe_)
+                probe_->onTaskSpawn({eq_.now(), task->pid(), true,
+                                     sched_.cpuOf(task)});
             ++spawns;
             churned = true;
         } else {
@@ -177,11 +177,11 @@ ScenarioDirector::migrateStalePages(Task *task)
         const auto moved = vm_.migratePage(*task, vpn, false);
         if (!moved)
             return;  // permitted banks exhausted; stop trying
-        REFSCHED_PROBE(
-            probe_, onPageMigrate({eq_.now(), task->pid(), vpn,
+        if (probe_)
+            probe_->onPageMigrate({eq_.now(), task->pid(), vpn,
                                    moved->first, moved->second,
                                    linesPerPage(),
-                                   &task->possibleBanksVector}));
+                                   &task->possibleBanksVector});
         ++pagesMigrated;
         jobs_.push_back({task, task->pid(), moved->first,
                          moved->second, 0, 0});

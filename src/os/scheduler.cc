@@ -39,15 +39,9 @@ Scheduler::emitRq(
     void (validate::Probe::*hook)(const validate::RqEvent &), int cpu,
     const Task *task)
 {
-#if REFSCHED_VALIDATE
     if (probe_)
         (probe_->*hook)(
             {eq_.now(), cpu, task->pid(), task->vruntime});
-#else
-    (void)hook;
-    (void)cpu;
-    (void)task;
-#endif
 }
 
 void
@@ -190,11 +184,7 @@ Scheduler::pickNextTask(int cpu, const std::vector<int> &refreshBanks)
     // When a probe is attached, capture the walk so the auditor can
     // re-derive the decision; candidates are recorded during the
     // real walk (not a replay) so a walk bug cannot hide itself.
-#if REFSCHED_VALIDATE
     const bool capture = probe_ != nullptr;
-#else
-    constexpr bool capture = false;
-#endif
     std::vector<validate::SchedCandidate> cand;
     auto emitPick = [&](validate::PickKind kind, const Task *chosen) {
         if (!capture)

@@ -90,31 +90,13 @@ panic(Args &&...args)
     throw PanicError(detail::format(std::forward<Args>(args)...));
 }
 
-/**
- * panic() unless @p cond holds.
- *
- * Compiled to nothing when REFSCHED_DISABLE_ASSERTS is defined (the
- * release-bench preset does this): the condition is not evaluated,
- * so it must be side-effect free.  kAssertsCompiledIn lets tests
- * assert the elision actually happened.
- */
-#ifdef REFSCHED_DISABLE_ASSERTS
-inline constexpr bool kAssertsCompiledIn = false;
-// sizeof keeps the condition syntactically checked (and its
-// variables "used") without generating any code or evaluation.
-#define REFSCHED_ASSERT(cond, ...)                                        \
-    do {                                                                  \
-        (void)sizeof(!(cond));                                            \
-    } while (0)
-#else
-inline constexpr bool kAssertsCompiledIn = true;
+/** panic() unless @p cond holds; @p cond is evaluated exactly once. */
 #define REFSCHED_ASSERT(cond, ...)                                        \
     do {                                                                  \
         if (!(cond))                                                      \
             ::refsched::panic("assertion failed: ", #cond, " ",           \
                               ##__VA_ARGS__);                             \
     } while (0)
-#endif
 
 } // namespace refsched
 

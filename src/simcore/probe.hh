@@ -1,13 +1,12 @@
 /**
  * @file
- * Zero-cost-when-disabled instrumentation hooks.
+ * Instrumentation hooks.
  *
  * Simulation components (memory controller, scheduler, buddy
  * allocator) publish their externally-observable decisions through a
- * Probe pointer.  When REFSCHED_VALIDATE is compiled out (cmake
- * -DREFSCHED_VALIDATE=OFF), every emission site collapses to nothing
- * and the components carry only an unused pointer; when compiled in
- * but no probe is attached, each site costs one null check.
+ * Probe pointer.  Each emission site is `if (probe_)
+ * probe_->onX({...})`: with no probe attached it costs one null check
+ * and the event struct is never built.
  *
  * Consumers live in src/validate/: invariant checkers (JEDEC timing
  * auditor, refresh-window monitor, OS auditor) and the golden-trace
@@ -22,15 +21,8 @@
 
 #include "simcore/types.hh"
 
-#ifndef REFSCHED_VALIDATE
-#define REFSCHED_VALIDATE 1
-#endif
-
 namespace refsched::validate
 {
-
-/** True when the hook layer is compiled into this build. */
-constexpr bool kValidateCompiledIn = REFSCHED_VALIDATE != 0;
 
 /** DRAM command classes as seen on the simulated command bus. */
 enum class DramOp : std::uint8_t {
@@ -235,22 +227,5 @@ class Probe
 };
 
 } // namespace refsched::validate
-
-/**
- * Emission macro: REFSCHED_PROBE(probe_, onDramCommand({...})).
- * Argument expressions are not evaluated when validation is compiled
- * out, so emission sites may build event structs inline for free.
- */
-#if REFSCHED_VALIDATE
-#define REFSCHED_PROBE(probe, call)                                       \
-    do {                                                                  \
-        if (probe)                                                        \
-            (probe)->call;                                                \
-    } while (0)
-#else
-#define REFSCHED_PROBE(probe, call)                                       \
-    do {                                                                  \
-    } while (0)
-#endif
 
 #endif // REFSCHED_SIMCORE_PROBE_HH

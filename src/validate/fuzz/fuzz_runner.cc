@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "simcore/logging.hh"
 
@@ -19,6 +20,18 @@ formatFailures(const FailureList &failures)
     for (const auto &f : failures)
         os << "  [" << f.oracle << "] " << f.detail << "\n";
     return os.str();
+}
+
+/** After a cut in the task count: drop the benchmarks and the phase
+ *  directives that name a task the smaller sample no longer has. */
+void
+dropMissingTasks(FuzzSample &v)
+{
+    v.benchmarks.resize(static_cast<std::size_t>(v.totalTasks()));
+    auto &phases = v.scenario.initialPhases;
+    std::erase_if(phases, [&](const auto &p) {
+        return p.first >= v.totalTasks();
+    });
 }
 
 /**
@@ -88,14 +101,13 @@ shrinkCandidates(const FuzzSample &s)
     if (s.cores > 1) {
         auto v = s;
         v.cores = 1;
+        dropMissingTasks(v);
         add(v);
     }
     if (s.tasksPerCore > 2) {
         auto v = s;
         v.tasksPerCore = 2;
-        v.benchmarks.resize(
-            static_cast<std::size_t>(v.totalTasks()),
-            s.benchmarks.front());
+        dropMissingTasks(v);
         add(v);
     }
     if (s.etaThresh != 64) {

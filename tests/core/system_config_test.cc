@@ -61,9 +61,6 @@ TEST(SystemConfigTest, AutoQuantumMatchesRefreshSlot)
     cfg.tREFW = milliseconds(32.0);
     // 32 ms / 16 banks = 2 ms (section 6.4, footnote 12).
     EXPECT_EQ(cfg.effectiveQuantum(), milliseconds(2.0));
-
-    cfg.quantum = milliseconds(1.0);
-    EXPECT_EQ(cfg.effectiveQuantum(), milliseconds(1.0));
 }
 
 TEST(SystemConfigTest, AutoQuantumScalesWithTimeScale)
@@ -116,6 +113,16 @@ TEST(SystemConfigTest, CheckCatchesInconsistencies)
     cfg4.applyPolicy(Policy::CoDesign);
     cfg4.etaThresh = 0;
     EXPECT_THROW(cfg4.check(), FatalError);
+
+    // A scenario phase= directive must name an existing task.
+    SystemConfig cfg5;
+    const auto sched = workload::PhaseSchedule::parse("mcf@2000@1");
+    cfg5.scenario.initialPhases = {{7, sched}};
+    EXPECT_NO_THROW(cfg5.check());
+    cfg5.scenario.initialPhases = {{8, sched}};  // 8 tasks: 0..7
+    EXPECT_THROW(cfg5.check(), FatalError);
+    cfg5.scenario.initialPhases = {{-1, sched}};
+    EXPECT_THROW(cfg5.check(), FatalError);
 }
 
 TEST(SystemConfigTest, PolicyNames)

@@ -92,8 +92,9 @@ TEST(VariantsTest, XorBankHashingRunsAndConfinesPartitions)
             continue;
         for (std::size_t b = 0; b < task->possibleBanksVector.size();
              ++b) {
-            if (!task->possibleBanksVector[b])
+            if (!task->possibleBanksVector[b]) {
                 ASSERT_EQ(task->residentPagesPerBank[b], 0u);
+            }
         }
     }
 }

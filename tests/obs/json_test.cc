@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "simcore/logging.hh"
 
 namespace refsched::obs
@@ -82,8 +84,10 @@ TEST(JsonParserTest, RejectsMalformedInput)
 TEST(JsonParserTest, RoundTripsEscapedStrings)
 {
     const std::string original = "line1\nline2\t\"quoted\" \\ done";
-    const auto v =
-        parseJson("\"" + jsonEscape(original) + "\"");
+    std::string text = "\"";
+    text += jsonEscape(original);
+    text += '"';
+    const auto v = parseJson(text);
     EXPECT_EQ(v.string, original);
 }
 

@@ -22,7 +22,7 @@ using testutil::AllocWatch;
 namespace
 {
 
-/** Would allocate if the emission macro evaluated its arguments. */
+/** Would allocate if the emission site evaluated its arguments. */
 DramCmdEvent
 expensiveEvent(int *evaluations)
 {
@@ -37,8 +37,10 @@ TEST(ProbeAllocTest, NullProbeSkipsArgumentEvaluation)
     Probe *probe = nullptr;
     int evaluations = 0;
     AllocWatch watch;
-    for (int i = 0; i < 1000; ++i)
-        REFSCHED_PROBE(probe, onDramCommand(expensiveEvent(&evaluations)));
+    for (int i = 0; i < 1000; ++i) {
+        if (probe)
+            probe->onDramCommand(expensiveEvent(&evaluations));
+    }
     EXPECT_EQ(evaluations, 0)
         << "emission site evaluated args with no probe attached";
     EXPECT_EQ(watch.count(), 0u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "simcore/logging.hh"
@@ -17,7 +18,9 @@ namespace
 std::unique_ptr<Task>
 makeTask(Pid pid, Tick vruntime)
 {
-    auto t = std::make_unique<Task>(pid, "t" + std::to_string(pid), 16);
+    std::string name = "t";
+    name += std::to_string(pid);
+    auto t = std::make_unique<Task>(pid, name, 16);
     t->vruntime = vruntime;
     return t;
 }

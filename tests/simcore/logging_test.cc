@@ -63,8 +63,6 @@ TEST_F(LoggingTest, ErrorsHaveDistinctBases)
 
 TEST_F(LoggingTest, AssertMacroPanicsWithContext)
 {
-    if (!kAssertsCompiledIn)
-        GTEST_SKIP() << "REFSCHED_ASSERT compiled out in this build";
     const int x = 3;
     try {
         REFSCHED_ASSERT(x == 4, "x was ", x);
@@ -79,23 +77,15 @@ TEST_F(LoggingTest, AssertMacroPanicsWithContext)
 
 TEST_F(LoggingTest, AssertElisionMatchesBuildConfiguration)
 {
-    // With REFSCHED_ASSERTS=OFF (the release-bench preset) the macro
-    // must compile to nothing: no throw AND no evaluation of the
-    // condition.  With asserts on, the condition is evaluated exactly
-    // once and a false result panics.
+    // Asserts are compiled into every build: the condition is evaluated
+    // exactly once and a false result panics.
     int evaluations = 0;
     auto failing = [&evaluations] {
         ++evaluations;
         return false;
     };
-    if (kAssertsCompiledIn) {
-        EXPECT_THROW(REFSCHED_ASSERT(failing(), "must fire"),
-                     PanicError);
-        EXPECT_EQ(evaluations, 1);
-    } else {
-        EXPECT_NO_THROW(REFSCHED_ASSERT(failing(), "must be elided"));
-        EXPECT_EQ(evaluations, 0);
-    }
+    EXPECT_THROW(REFSCHED_ASSERT(failing(), "must fire"), PanicError);
+    EXPECT_EQ(evaluations, 1);
 }
 
 TEST_F(LoggingTest, FormatConcatenatesMixedTypes)

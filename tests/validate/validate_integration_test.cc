@@ -36,13 +36,6 @@ smallConfig(core::Policy policy)
     return cfg;
 }
 
-TEST(ValidateIntegrationTest, HookLayerCompiledInForTests)
-{
-    // The test build must carry the hooks; the novalidate preset
-    // exists precisely so the overhead claim is checked elsewhere.
-    EXPECT_TRUE(kValidateCompiledIn);
-}
-
 TEST(ValidateIntegrationTest, AllPoliciesRunCleanUnderValidation)
 {
     for (const auto policy : kPolicies) {

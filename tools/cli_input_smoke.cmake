@@ -17,6 +17,9 @@ endforeach()
 
 # A scenario script whose event quantum is not a number.
 file(WRITE "${OUT}/bad_quantum.scenario" "ev=2x:kill:2\n")
+# A phase directive naming a task the 8-task run does not have.
+file(WRITE "${OUT}/missing_task.scenario"
+    "phase=99:mcf@2000@1|povray@2000@1\n")
 
 # Each case is one command line, space-separated, after the variable
 # naming the tool.
@@ -30,6 +33,7 @@ set(cases
     # A load so low its mean gap does not fit in a tick count.
     "CLI --workload WL-1 --policy co-design --serving arrival=poisson,load=1e-300,pool=4,queue=8,lines=1"
     "CLI --scenario ${OUT}/bad_quantum.scenario"
+    "CLI --scenario ${OUT}/missing_task.scenario"
     "BENCH --jobs abc"     # the benches share the CLI's parser
     "BENCH --scale 3"      # a timeScale the DRAM model rejects
     "BENCH --bogus"

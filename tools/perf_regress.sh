@@ -4,10 +4,10 @@
 #
 #   tools/perf_regress.sh [--events-only] [--update] [jobs]
 #
-# Builds the release-bench preset (-O3 + IPO/LTO, REFSCHED_ASSERT and
-# validation probes compiled out -- the configuration perf numbers
-# are quoted from) and runs bench/perf_smoke against the checked-in
-# baseline tools/perf_baseline.json:
+# Builds the release-bench preset (-O3 + IPO/LTO -- the configuration
+# perf numbers are quoted from; asserts and probe hooks are compiled
+# in, as in every build) and runs bench/perf_smoke against the
+# checked-in baseline tools/perf_baseline.json:
 #
 #   events, events/quantum   must match the baseline exactly (the
 #               simulation is deterministic)

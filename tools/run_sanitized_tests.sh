@@ -4,7 +4,9 @@
 #
 #   tools/run_sanitized_tests.sh [jobs]
 #
-# The ASan pass catches memory errors and UB across the whole suite;
+# The ASan pass catches memory errors and UB across the whole suite
+# (a UB report aborts the test, and libstdc++'s checked containers
+# are on; see REFSCHED_SANITIZE in CMakeLists.txt);
 # the TSan pass targets the parallel experiment runner first (the
 # only multi-threaded subsystem), then runs the full suite anyway --
 # races can hide behind any entry point that constructs a runner.
